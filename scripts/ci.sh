@@ -1,9 +1,15 @@
 #!/usr/bin/env bash
-# Single CI gate: tier-1 unit suite, static-analysis lint, chaos tier,
-# facade selftest, perf regression, telemetry + retry overhead.
+# Single CI gate: tier-1 unit suite, scenario tier, static-analysis
+# lint, chaos tier, facade selftest, perf regression, telemetry + retry
+# overhead.
 #
-#   scripts/ci.sh                 # full gate (tier-1 + chaos + selftest + bench)
+#   scripts/ci.sh                 # full gate (tier-1 + scenario + chaos + selftest + bench)
 #   SKIP_BENCH=1 scripts/ci.sh    # fast gate (no benchmark re-run)
+#
+# The scenario stage runs the full built-in catalog: the 12-built-in
+# distributional-identity checks (scalar vs mega-batch) and the
+# facade-equivalence checks (Session vs the legacy entry points, on
+# every backend).
 #
 # The chaos stage runs the seeded fault-injection tier (worker crashes,
 # hangs, kills, corrupted chunk payloads) and pins that records with
@@ -29,6 +35,10 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 echo "== tier-1 test suite =="
 python -m pytest -x -q
+
+echo
+echo "== scenario tier (built-in catalog, facade equivalence) =="
+python -m pytest -m scenario -q
 
 echo
 echo "== static analysis lint gate =="

@@ -133,35 +133,28 @@ class StudyBuilder:
             )
         return dataclasses.replace(self._base, **self._overrides)
 
-    def _effective_seed(self, seed: Optional[SeedLike]) -> SeedLike:
-        return seed if seed is not None else self._seed
-
     # ---- execution verbs (delegate to the session) ----------------------
 
     def run(self, seed: Optional[SeedLike] = None) -> "ScenarioRunResult":
         """Execute synchronously; see :meth:`repro.api.Session.run`."""
-        return self._session.run(self, seed=self._effective_seed(seed))
+        return self._session.run(self, seed=seed)
 
     def submit(self, seed: Optional[SeedLike] = None) -> "JobHandle":
         """Queue as a job; see :meth:`repro.api.Session.submit`."""
-        return self._session.submit(self, seed=self._effective_seed(seed))
+        return self._session.submit(self, seed=seed)
 
     def full_study(self, seed: Optional[SeedLike] = None) -> "StudyResult":
         """Run the full three-step pipeline (SAN model, attack tree,
         measurement, ANOVA assessment); see
         :meth:`repro.api.Session.full_study`."""
-        return self._session.full_study(
-            self, seed=self._effective_seed(seed)
-        )
+        return self._session.full_study(self, seed=seed)
 
     def campaign(
         self, replications: int, seed: Optional[SeedLike] = None
     ) -> "CampaignRunResult":
         """Run a raw Monte-Carlo campaign batch on the baseline system;
         see :meth:`repro.api.Session.campaign`."""
-        return self._session.campaign(
-            self, replications, seed=self._effective_seed(seed)
-        )
+        return self._session.campaign(self, replications, seed=seed)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -44,6 +44,7 @@ from repro.results import (
     provenance_for,
     summarize_records,
 )
+from repro.results.provenance import execution_knobs
 from repro.scenarios.registry import SCENARIOS, ScenarioRegistry
 from repro.scenarios.spec import Scenario
 from repro.scenarios.suite import (
@@ -305,7 +306,71 @@ class Session:
             },
         )
 
-    # ---- synchronous execution ------------------------------------------
+    @staticmethod
+    def _traced(
+        telemetry: Optional[Telemetry],
+        span: str,
+        produce: Callable[[], Any],
+    ) -> Any:
+        """``produce()`` inside one root ``span`` of ``telemetry`` (when
+        enabled), its snapshot attached as the result's ``telemetry``."""
+        if telemetry is None:
+            return produce()
+        with telemetry.activate(), telemetry.span(span):
+            result = produce()
+        result.telemetry = telemetry.snapshot()
+        return result
+
+    # ---- suite runs: run / submit ---------------------------------------
+
+    def _suite_body(
+        self,
+        target: TargetLike,
+        seed: Optional[SeedLike],
+        shard: Optional[tuple],
+        batch_size: Optional[int],
+        on_error: str,
+        journal: Optional[Any],
+    ) -> tuple[List[Scenario], Callable[..., RunResult]]:
+        """Resolve one run/submit call into ``(scenarios, body)``.
+
+        ``body(telemetry, on_result, cancel)`` is the whole execution,
+        shared verbatim by the synchronous verb and the job.
+        """
+        self._ensure_open()
+        scenarios, is_suite = self._resolve_targets(target)
+        if shard is not None and not is_suite:
+            raise ValueError(
+                "shard= requires a suite (a sequence of targets); a "
+                "single scenario cannot be sharded"
+            )
+        suite = self._suite(scenarios, shard=shard)
+        run_seed = self._effective_seed(seed, target)
+        run_batch = self._effective_batch_size(batch_size, target)
+
+        def body(
+            telemetry: Optional[Telemetry],
+            on_result: Optional[Callable[..., None]],
+            cancel: Optional[Any],
+        ) -> RunResult:
+            result = self._traced(
+                telemetry,
+                "session.run",
+                lambda: suite.run(
+                    seed=run_seed,
+                    on_result=on_result,
+                    cancel=cancel,
+                    batch_size=run_batch,
+                    on_error=on_error,
+                    journal=journal,
+                ),
+            )
+            if telemetry is not None:
+                for scenario_result in result.results:
+                    scenario_result.telemetry = result.telemetry
+            return result if is_suite else self._single_result(result)
+
+        return scenarios, body
 
     def run(
         self,
@@ -354,39 +419,10 @@ class Session:
             sequence — both satisfy
             :class:`~repro.api.result.RunResult` and carry provenance.
         """
-        self._ensure_open()
-        scenarios, is_suite = self._resolve_targets(target)
-        if shard is not None and not is_suite:
-            raise ValueError(
-                "shard= requires a suite (a sequence of targets); a "
-                "single scenario cannot be sharded"
-            )
-        suite = self._suite(scenarios, shard=shard)
-        run_seed = self._effective_seed(seed, target)
-        run_batch = self._effective_batch_size(batch_size, target)
-        telemetry = self._telemetry_for_run("session.run")
-        if telemetry is None:
-            suite_result = suite.run(
-                seed=run_seed,
-                batch_size=run_batch,
-                on_error=on_error,
-                journal=journal,
-            )
-        else:
-            with telemetry.activate(), telemetry.span("session.run"):
-                suite_result = suite.run(
-                    seed=run_seed,
-                    batch_size=run_batch,
-                    on_error=on_error,
-                    journal=journal,
-                )
-            snapshot = telemetry.snapshot()
-            suite_result.telemetry = snapshot
-            for scenario_result in suite_result.results:
-                scenario_result.telemetry = snapshot
-        if is_suite:
-            return suite_result
-        return self._single_result(suite_result)
+        _, body = self._suite_body(
+            target, seed, shard, batch_size, on_error, journal
+        )
+        return body(self._telemetry_for_run("session.run"), None, None)
 
     @staticmethod
     def _single_result(suite_result: SuiteResult) -> ScenarioRunResult:
@@ -399,6 +435,45 @@ class Session:
         raise RuntimeError(
             f"{failure}\n\n--- captured traceback ---\n{failure.traceback}"
         )
+
+    def submit(
+        self,
+        target: TargetLike,
+        *,
+        seed: Optional[SeedLike] = None,
+        shard: Optional[tuple] = None,
+        description: Optional[str] = None,
+        batch_size: Optional[int] = None,
+        on_error: str = "raise",
+        journal: Optional[Any] = None,
+    ) -> JobHandle:
+        """Queue the same work :meth:`run` does; returns a
+        :class:`~repro.api.jobs.JobHandle` immediately.
+
+        Progress counts completed scenarios.  The handle's ``result()``
+        is bit-identical to the synchronous :meth:`run` with the same
+        seed (and ``batch_size``).  Jobs beyond ``max_parallel_jobs``
+        wait in submission order.  ``on_error=`` / ``journal=`` behave
+        exactly as on :meth:`run` — with a journal (plus the session
+        cache), a cancelled or crashed job resubmitted with the same
+        arguments resumes from its last completed scenario.
+        """
+        scenarios, body = self._suite_body(
+            target, seed, shard, batch_size, on_error, journal
+        )
+        total = len(scenarios)
+        if shard is not None:
+            index, count = shard
+            total = len(range(index, len(scenarios), count))
+        names = ", ".join(s.name for s in scenarios)
+        return self._submit_job(
+            description or f"run: {names}",
+            total,
+            self._as_job(body),
+            telemetry=self._telemetry_for_run("session.submit"),
+        )
+
+    # ---- the paper pipeline ---------------------------------------------
 
     def full_study(
         self,
@@ -415,13 +490,62 @@ class Session:
         scenario = self._resolve_one(target)
         study = DiversityStudy.from_scenario(scenario, runner=self.runner)
         run_seed = self._effective_seed(seed, target)
-        telemetry = self._telemetry_for_run("session.full_study")
-        if telemetry is None:
-            return study.execute(run_seed)
-        with telemetry.activate(), telemetry.span("session.full_study"):
-            result = study.execute(run_seed)
-        result.telemetry = telemetry.snapshot()
-        return result
+        return self._traced(
+            self._telemetry_for_run("session.full_study"),
+            "session.full_study",
+            lambda: study.execute(run_seed),
+        )
+
+    # ---- campaign batches: campaign / submit_campaign --------------------
+
+    def _campaign_body(
+        self,
+        target: StudyLike,
+        replications: int,
+        seed: Optional[SeedLike],
+        stream: bool,
+        max_records_in_ram: Optional[int],
+        batch_size: Optional[int],
+    ) -> tuple[Scenario, Callable[..., CampaignRunResult]]:
+        """Resolve one campaign/submit_campaign call into
+        ``(scenario, body)``; ``body(telemetry, on_result, cancel)`` is
+        shared verbatim by the synchronous verb and the job."""
+        self._ensure_open()
+        scenario = self._resolve_one(target)
+        root = as_seed_sequence(self._effective_seed(seed, target))
+        campaign = self._campaign_for(scenario)
+        bound = self._effective_stream_bound(stream, max_records_in_ram)
+        lanes = self._effective_batch_size(batch_size, target)
+
+        def body(
+            telemetry: Optional[Telemetry],
+            on_result: Optional[Callable[[int], None]],
+            cancel: Optional[Any],
+        ) -> CampaignRunResult:
+            def produce() -> CampaignRunResult:
+                aggregate = None if bound is None else StreamingSummary()
+                table = campaign.run_batch_table(
+                    replications,
+                    rng=root,
+                    runner=self.runner,
+                    on_result=on_result,
+                    cancel=cancel,
+                    max_records_in_ram=bound,
+                    aggregators=() if aggregate is None else (aggregate,),
+                    batch_size=lanes,
+                )
+                return self._campaign_result(
+                    scenario,
+                    replications,
+                    root,
+                    table,
+                    aggregate=aggregate,
+                    execution=execution_knobs(bound, lanes),
+                )
+
+            return self._traced(telemetry, "session.campaign", produce)
+
+        return scenario, body
 
     def campaign(
         self,
@@ -466,64 +590,40 @@ class Session:
             ``AttackCampaign.run_batch_table`` on the same seed and
             runner.
         """
-        self._ensure_open()
-        scenario = self._resolve_one(target)
-        root = as_seed_sequence(self._effective_seed(seed, target))
-        campaign = self._campaign_for(scenario)
-        effective_max = self._effective_stream_bound(
-            stream, max_records_in_ram
+        _, body = self._campaign_body(
+            target, replications, seed, stream, max_records_in_ram,
+            batch_size,
         )
-        effective_batch = self._effective_batch_size(batch_size, target)
-        batch_execution = (
-            {"batch_size": effective_batch}
-            if effective_batch is not None
-            else None
+        return body(self._telemetry_for_run("session.campaign"), None, None)
+
+    def submit_campaign(
+        self,
+        target: StudyLike,
+        replications: int,
+        *,
+        seed: Optional[SeedLike] = None,
+        description: Optional[str] = None,
+        stream: bool = False,
+        max_records_in_ram: Optional[int] = None,
+        batch_size: Optional[int] = None,
+    ) -> JobHandle:
+        """Queue a campaign batch; progress counts replications
+        (one advance per mega-batch unit when ``batch_size`` is set).
+
+        ``stream=`` / ``max_records_in_ram=`` / ``batch_size=`` behave
+        exactly as on the synchronous :meth:`campaign`.
+        """
+        scenario, body = self._campaign_body(
+            target, replications, seed, stream, max_records_in_ram,
+            batch_size,
         )
-
-        def produce() -> CampaignRunResult:
-            if effective_max is None:
-                table = campaign.run_batch_table(
-                    replications,
-                    rng=root,
-                    runner=self.runner,
-                    batch_size=effective_batch,
-                )
-                return self._campaign_result(
-                    scenario,
-                    replications,
-                    root,
-                    table,
-                    execution=batch_execution,
-                )
-            aggregate = StreamingSummary()
-            table = campaign.run_batch_table(
-                replications,
-                rng=root,
-                runner=self.runner,
-                max_records_in_ram=effective_max,
-                aggregators=(aggregate,),
-                batch_size=effective_batch,
-            )
-            return self._campaign_result(
-                scenario,
-                replications,
-                root,
-                table,
-                aggregate=aggregate,
-                execution={
-                    "stream": True,
-                    "max_records_in_ram": effective_max,
-                    **(batch_execution or {}),
-                },
-            )
-
-        telemetry = self._telemetry_for_run("session.campaign")
-        if telemetry is None:
-            return produce()
-        with telemetry.activate(), telemetry.span("session.campaign"):
-            result = produce()
-        result.telemetry = telemetry.snapshot()
-        return result
+        return self._submit_job(
+            description
+            or f"campaign: {scenario.name} x{replications}",
+            replications,
+            self._as_job(body),
+            telemetry=self._telemetry_for_run("session.submit_campaign"),
+        )
 
     @staticmethod
     def _effective_stream_bound(
@@ -557,8 +657,7 @@ class Session:
         aggregate: Optional[StreamingSummary] = None,
         execution: Optional[dict] = None,
     ) -> CampaignRunResult:
-        """The shared result/provenance assembly of campaign runs —
-        sync and job paths must digest the identical payload.  The
+        """Result/provenance assembly of a campaign run.  The
         ``execution`` knobs are recorded on the provenance but excluded
         from its digest, so streamed and in-RAM runs of the same spec
         digest identically."""
@@ -586,165 +685,14 @@ class Session:
             aggregate=aggregate,
         )
 
-    # ---- asynchronous execution -----------------------------------------
+    # ---- jobs ------------------------------------------------------------
 
-    def submit(
-        self,
-        target: TargetLike,
-        *,
-        seed: Optional[SeedLike] = None,
-        shard: Optional[tuple] = None,
-        description: Optional[str] = None,
-        batch_size: Optional[int] = None,
-        on_error: str = "raise",
-        journal: Optional[Any] = None,
-    ) -> JobHandle:
-        """Queue the same work :meth:`run` does; returns a
-        :class:`~repro.api.jobs.JobHandle` immediately.
-
-        Progress counts completed scenarios.  The handle's ``result()``
-        is bit-identical to the synchronous :meth:`run` with the same
-        seed (and ``batch_size``).  Jobs beyond ``max_parallel_jobs``
-        wait in submission order.  ``on_error=`` / ``journal=`` behave
-        exactly as on :meth:`run` — with a journal (plus the session
-        cache), a cancelled or crashed job resubmitted with the same
-        arguments resumes from its last completed scenario.
-        """
-        self._ensure_open()
-        scenarios, is_suite = self._resolve_targets(target)
-        if shard is not None and not is_suite:
-            raise ValueError(
-                "shard= requires a suite (a sequence of targets); a "
-                "single scenario cannot be sharded"
-            )
-        suite = self._suite(scenarios, shard=shard)
-        run_seed = self._effective_seed(seed, target)
-        run_batch = self._effective_batch_size(batch_size, target)
-        names = ", ".join(s.name for s in scenarios)
-
-        def body(job: JobHandle) -> RunResult:
-            telemetry = job._telemetry
-            if telemetry is None:
-                result = suite.run(
-                    seed=run_seed,
-                    on_result=job._advance,
-                    cancel=job._cancel_event,
-                    batch_size=run_batch,
-                    on_error=on_error,
-                    journal=journal,
-                )
-                return result if is_suite else self._single_result(result)
-            with telemetry.activate(), telemetry.span("session.run"):
-                result = suite.run(
-                    seed=run_seed,
-                    on_result=job._advance,
-                    cancel=job._cancel_event,
-                    batch_size=run_batch,
-                    on_error=on_error,
-                    journal=journal,
-                )
-            snapshot = telemetry.snapshot()
-            result.telemetry = snapshot
-            for scenario_result in result.results:
-                scenario_result.telemetry = snapshot
-            return result if is_suite else self._single_result(result)
-
-        total = len(scenarios)
-        if shard is not None:
-            index, count = shard
-            total = len(range(index, len(scenarios), count))
-        return self._submit_job(
-            description or f"run: {names}", total, body,
-            telemetry=self._telemetry_for_run("session.submit"),
-        )
-
-    def submit_campaign(
-        self,
-        target: StudyLike,
-        replications: int,
-        *,
-        seed: Optional[SeedLike] = None,
-        description: Optional[str] = None,
-        stream: bool = False,
-        max_records_in_ram: Optional[int] = None,
-        batch_size: Optional[int] = None,
-    ) -> JobHandle:
-        """Queue a campaign batch; progress counts replications
-        (one advance per mega-batch unit when ``batch_size`` is set).
-
-        ``stream=`` / ``max_records_in_ram=`` / ``batch_size=`` behave
-        exactly as on the synchronous :meth:`campaign`.
-        """
-        self._ensure_open()
-        scenario = self._resolve_one(target)
-        root = as_seed_sequence(self._effective_seed(seed, target))
-        campaign = self._campaign_for(scenario)
-        effective_max = self._effective_stream_bound(
-            stream, max_records_in_ram
-        )
-        effective_batch = self._effective_batch_size(batch_size, target)
-        batch_execution = (
-            {"batch_size": effective_batch}
-            if effective_batch is not None
-            else None
-        )
-
-        def produce(job: JobHandle) -> CampaignRunResult:
-            if effective_max is None:
-                table = campaign.run_batch_table(
-                    replications,
-                    rng=as_seed_sequence(root),
-                    runner=self.runner,
-                    on_result=job._advance,
-                    cancel=job._cancel_event,
-                    batch_size=effective_batch,
-                )
-                return self._campaign_result(
-                    scenario,
-                    replications,
-                    root,
-                    table,
-                    execution=batch_execution,
-                )
-            aggregate = StreamingSummary()
-            table = campaign.run_batch_table(
-                replications,
-                rng=as_seed_sequence(root),
-                runner=self.runner,
-                on_result=job._advance,
-                cancel=job._cancel_event,
-                max_records_in_ram=effective_max,
-                aggregators=(aggregate,),
-                batch_size=effective_batch,
-            )
-            return self._campaign_result(
-                scenario,
-                replications,
-                root,
-                table,
-                aggregate=aggregate,
-                execution={
-                    "stream": True,
-                    "max_records_in_ram": effective_max,
-                    **(batch_execution or {}),
-                },
-            )
-
-        def body(job: JobHandle) -> CampaignRunResult:
-            telemetry = job._telemetry
-            if telemetry is None:
-                return produce(job)
-            with telemetry.activate(), telemetry.span("session.campaign"):
-                result = produce(job)
-            result.telemetry = telemetry.snapshot()
-            return result
-
-        return self._submit_job(
-            description
-            or f"campaign: {scenario.name} x{replications}",
-            replications,
-            body,
-            telemetry=self._telemetry_for_run("session.submit_campaign"),
+    @staticmethod
+    def _as_job(body: Callable[..., Any]) -> Callable[[JobHandle], Any]:
+        """Run a ``(telemetry, on_result, cancel)`` body on a job's
+        telemetry, progress and cancel hooks."""
+        return lambda job: body(
+            job._telemetry, job._advance, job._cancel_event
         )
 
     def _submit_job(

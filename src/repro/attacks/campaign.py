@@ -187,21 +187,22 @@ def _response_row_unit(
 def _feed_aggregators(
     aggregators: Tuple[Callable[..., None], ...],
     columns: Dict[str, np.ndarray],
-    rows: List[Tuple[float, float, float, float]],
+    rows: np.ndarray,
 ) -> None:
     """Fold one chunk of response rows into every aggregator.
 
     Aggregators with an ``observe_columns`` method (e.g.
     :class:`~repro.results.streaming.StreamingSummary`) get the whole
-    chunk vectorized; plain callables are invoked once per row with the
-    ``(success, tta, ttsf, final_ratio)`` tuple.
+    chunk vectorized; plain callables are invoked once per row of the
+    ``(n, 4)`` block with the ``(success, tta, ttsf, final_ratio)``
+    tuple.
     """
     for aggregator in aggregators:
         observe = getattr(aggregator, "observe_columns", None)
         if observe is not None:
             observe(columns)
         else:
-            for row in rows:
+            for row in rows.tolist():
                 aggregator(tuple(row))
 
 
@@ -1189,9 +1190,15 @@ class AttackCampaign:
         if replications < 1:
             raise ValueError(f"replications must be >= 1, got {replications}")
         if runner is None and isinstance(rng, np.random.Generator):
-            return self._legacy_batch(
-                replications, rng, self.run, on_result, cancel
-            )
+            outcomes: List[AttackOutcome] = []
+
+            def take(index: int, outcome: AttackOutcome) -> None:
+                outcomes.append(outcome)
+                if on_result is not None:
+                    on_result(index)
+
+            self._legacy_batch(replications, rng, self.run, take, cancel)
+            return outcomes
         from repro.exec import ExperimentRunner
 
         active = runner or ExperimentRunner()
@@ -1206,30 +1213,26 @@ class AttackCampaign:
             cancel=cancel,
         )
 
+    @staticmethod
     def _legacy_batch(
-        self,
         replications: int,
         rng: np.random.Generator,
         body: Callable[[np.random.Generator], object],
-        on_result: Optional[Callable[[int], None]],
+        take: Callable[[int, object], None],
         cancel: Optional[object],
-    ) -> List:
-        """Shared-generator loop with the optional progress hooks."""
-        if on_result is None and cancel is None:
-            return [body(rng) for _ in range(replications)]
+    ) -> None:
+        """The shared-generator loop: replication ``index`` draws from
+        ``rng`` after every earlier one and hands its result to
+        ``take(index, result)``."""
         from repro.exec.backends import ExecutionCancelled
 
-        results: List = []
         for index in range(replications):
             if cancel is not None and cancel.is_set():
                 raise ExecutionCancelled(
                     f"batch cancelled after {index} of "
                     f"{replications} replications"
                 )
-            results.append(body(rng))
-            if on_result is not None:
-                on_result(index)
-        return results
+            take(index, body(rng))
 
     def run_batch_table(
         self,
@@ -1251,22 +1254,26 @@ class AttackCampaign:
         :class:`AttackOutcome` objects (traces included) — and the batch
         comes back as a :class:`repro.results.RecordTable`.
 
-        ``max_records_in_ram`` switches the batch to **streaming** mode:
-        rows flow through a
-        :class:`~repro.results.streaming.StreamingTableBuilder` that
-        spills fixed-size chunks to ``.npz`` shards, the runner runs
-        with ``collect=False`` (no per-unit state at the coordinator),
-        and the result is a lazy
-        :class:`~repro.results.streaming.ShardedRecordTable`.  Rows are
-        identical to the default mode for the same seed — only where
+        One body serves every mode: whichever producer runs (the
+        shared-generator loop, runner replications or the mega-batch
+        engine) streams float64 row blocks into a single sink, and the
+        runner never collects per-unit results.  By default the sink
+        concatenates the blocks once into a ``RecordTable``.
+        ``max_records_in_ram`` switches it to **streaming**: rows flow
+        through a :class:`~repro.results.streaming.StreamingTableBuilder`
+        that spills fixed-size chunks to ``.npz`` shards, and the result
+        is a lazy :class:`~repro.results.streaming.ShardedRecordTable`.
+        Rows are identical in both modes for the same seed — only where
         they live differs.
 
-        ``aggregators`` are fed every response row as it completes, in
-        submission order — :class:`~repro.results.streaming
-        .StreamingSummary` instances stream whole chunks, any other
-        callable is invoked per row as ``agg((success, tta, ttsf,
-        final_ratio))`` — in both modes, so running summaries/CIs come
-        out of a campaign without touching the table at all.
+        ``aggregators`` are fed every response row in submission order,
+        once per sink flush (the whole batch in RAM, every
+        ``min(max_records_in_ram, 4096)`` rows when streaming) —
+        :class:`~repro.results.streaming.StreamingSummary` instances
+        take whole chunks, any other callable is invoked per row as
+        ``agg((success, tta, ttsf, final_ratio))`` — so running
+        summaries/CIs come out of a campaign without touching the table
+        at all.
 
         ``batch_size`` switches replications to the **mega-batch**
         lowering: lanes advance ``batch_size`` at a time through
@@ -1290,130 +1297,26 @@ class AttackCampaign:
                 integer.
             ValueError: If either is ``< 1``.
         """
-        from repro.exec import validate_batch_args
-
-        validate_batch_args(replications, batch_size)
+        from repro.exec import ExperimentRunner, validate_batch_args
         from repro.results import RecordTable
 
+        validate_batch_args(replications, batch_size)
+        builder = flush_at = None
         if max_records_in_ram is not None:
-            return self._stream_batch_table(
-                replications,
-                rng,
-                runner,
-                on_result,
-                cancel,
-                max_records_in_ram,
-                aggregators,
-                batch_size,
+            from repro.results.streaming import StreamingTableBuilder
+
+            builder = StreamingTableBuilder(
+                max_records_in_ram=max_records_in_ram
             )
-        if batch_size is not None:
-            rows = None
-            data = self._batched_rows(
-                replications, rng, runner, on_result, cancel, batch_size
-            )
-        elif runner is None and isinstance(rng, np.random.Generator):
-            rows = self._legacy_batch(
-                replications,
-                rng,
-                lambda gen: self.run(gen).response_row(self.config.horizon),
-                on_result,
-                cancel,
-            )
-        else:
-            from repro.exec import ExperimentRunner
+            flush_at = min(max_records_in_ram, 4096)
+        blocks: List[np.ndarray] = []
+        pending = 0
 
-            active = runner or ExperimentRunner()
-            unit_hook = None
-            if on_result is not None:
-                unit_hook = lambda index, _result: on_result(index)
-            rows = active.run_replications(
-                _response_row_unit,
-                replications,
-                seed=rng,
-                common_args=(self,),
-                on_result=unit_hook,
-                cancel=cancel,
-            )
-        if rows is not None:
-            data = np.asarray(rows, dtype=np.float64).reshape(len(rows), 4)
-        columns = {
-            "success": data[:, 0],
-            "tta": data[:, 1],
-            "ttsf": data[:, 2],
-            "final_ratio": data[:, 3],
-        }
-        if aggregators:
-            _feed_aggregators(
-                aggregators, columns, rows if rows is not None else list(data)
-            )
-        return RecordTable(columns)
-
-    def _batched_rows(
-        self,
-        replications: int,
-        rng: "SeedLike",
-        runner: Optional["ExperimentRunner"],
-        on_result: Optional[Callable[[int], None]],
-        cancel: Optional[object],
-        batch_size: int,
-        take: Optional[Callable[[int, np.ndarray], None]] = None,
-    ) -> Optional[np.ndarray]:
-        """Run the mega-batch lowering; return stacked response rows.
-
-        With ``take`` the per-unit row blocks stream through it instead
-        (``collect=False``) and ``None`` is returned.
-        """
-        from repro.attacks.batched import (
-            CampaignBatchEngine,
-            simulate_batch_rows,
-        )
-        from repro.exec import ExperimentRunner
-
-        engine = CampaignBatchEngine(self)
-        active = runner or ExperimentRunner()
-        unit_hook = take
-        if unit_hook is None and on_result is not None:
-            unit_hook = lambda index, _result: on_result(index)
-        blocks = active.run_batched_replications(
-            simulate_batch_rows,
-            replications,
-            batch_size,
-            seed=rng,
-            common_args=(engine,),
-            on_result=unit_hook,
-            cancel=cancel,
-            collect=take is None,
-        )
-        if take is not None:
-            return None
-        return np.concatenate(blocks, axis=0)
-
-    def _stream_batch_table(
-        self,
-        replications: int,
-        rng: "SeedLike",
-        runner: Optional["ExperimentRunner"],
-        on_result: Optional[Callable[[int], None]],
-        cancel: Optional[object],
-        max_records_in_ram: int,
-        aggregators: Tuple[Callable[..., None], ...],
-        batch_size: Optional[int] = None,
-    ):
-        """The bounded-memory body of :meth:`run_batch_table`."""
-        from repro.results.streaming import StreamingTableBuilder
-
-        builder = StreamingTableBuilder(
-            max_records_in_ram=max_records_in_ram
-        )
-        buffer: List[Tuple[float, float, float, float]] = []
-        flush_at = min(max_records_in_ram, 4096)
-
-        def flush() -> None:
-            if not buffer:
-                return
-            data = np.asarray(buffer, dtype=np.float64).reshape(
-                len(buffer), 4
-            )
+        def flush() -> Dict[str, np.ndarray]:
+            nonlocal pending
+            data = np.concatenate(blocks, axis=0)
+            blocks.clear()
+            pending = 0
             columns = {
                 "success": data[:, 0],
                 "tta": data[:, 1],
@@ -1421,61 +1324,60 @@ class AttackCampaign:
                 "final_ratio": data[:, 3],
             }
             if aggregators:
-                _feed_aggregators(aggregators, columns, buffer)
-            builder.append_rows(columns)
-            buffer.clear()
+                _feed_aggregators(aggregators, columns, data)
+            if builder is not None:
+                builder.append_rows(columns)
+            return columns
 
-        def take(index: int, row: Tuple[float, float, float, float]) -> None:
-            buffer.append(row)
+        def take(index: int, rows: np.ndarray) -> None:
+            nonlocal pending
+            blocks.append(rows)
+            pending += len(rows)
             if on_result is not None:
                 on_result(index)
-            if len(buffer) >= flush_at:
+            if flush_at is not None and pending >= flush_at:
                 flush()
 
+        def take_row(index: int, row: Tuple[float, ...]) -> None:
+            take(index, np.asarray(row, dtype=np.float64).reshape(1, 4))
+
+        active = runner or ExperimentRunner()
         if batch_size is not None:
+            from repro.attacks.batched import (
+                CampaignBatchEngine,
+                simulate_batch_rows,
+            )
 
-            def take_block(index: int, block: np.ndarray) -> None:
-                buffer.extend(tuple(row) for row in block)
-                if on_result is not None:
-                    on_result(index)
-                if len(buffer) >= flush_at:
-                    flush()
-
-            self._batched_rows(
+            active.run_batched_replications(
+                simulate_batch_rows,
                 replications,
-                rng,
-                runner,
-                on_result,
-                cancel,
                 batch_size,
-                take=take_block,
+                seed=rng,
+                common_args=(CampaignBatchEngine(self),),
+                on_result=take,
+                cancel=cancel,
+                collect=False,
             )
         elif runner is None and isinstance(rng, np.random.Generator):
-            # Legacy shared-generator mode, streamed: same draw order
-            # as the collected path, rows folded in as they complete.
-            from repro.exec.backends import ExecutionCancelled
-
-            for index in range(replications):
-                if cancel is not None and cancel.is_set():
-                    raise ExecutionCancelled(
-                        f"batch cancelled after {index} of "
-                        f"{replications} replications"
-                    )
-                take(
-                    index, self.run(rng).response_row(self.config.horizon)
-                )
+            self._legacy_batch(
+                replications,
+                rng,
+                lambda gen: _response_row_unit(self, gen),
+                take_row,
+                cancel,
+            )
         else:
-            from repro.exec import ExperimentRunner
-
-            active = runner or ExperimentRunner()
             active.run_replications(
                 _response_row_unit,
                 replications,
                 seed=rng,
                 common_args=(self,),
-                on_result=take,
+                on_result=take_row,
                 cancel=cancel,
                 collect=False,
             )
-        flush()
+        if builder is None:
+            return RecordTable(flush())
+        if blocks:
+            flush()
         return builder.build()

@@ -29,6 +29,7 @@ from repro.results import (
     provenance_for,
     summarize_records,
 )
+from repro.results.provenance import execution_knobs
 from repro.scada.network import SCADANetwork
 from repro.telemetry.core import trace
 
@@ -285,6 +286,10 @@ class MeasurementPlan:
           spawned :class:`~numpy.random.SeedSequence`, and records are
           bit-identical across backends, worker counts and chunkings.
 
+        Either producer hands each finished run's ``(table,
+        indicators)`` to one sink, in design-run order; the runner
+        never collects per-unit results.
+
         Args:
             rng: Seed or generator (see above).
             runner: Optional :class:`~repro.exec.runner.ExperimentRunner`.
@@ -294,14 +299,16 @@ class MeasurementPlan:
             cancel: Optional cancellation event (``is_set()``
                 protocol); once set the execution raises
                 :class:`~repro.exec.backends.ExecutionCancelled`.
-            max_records_in_ram: When set, per-run tables stream into a
-                spilling :class:`~repro.results.streaming
-                .StreamingTableBuilder` as each run completes (runner
-                mode runs ``collect=False``), and the result's table is
-                a lazy ``ShardedRecordTable`` holding at most this many
-                rows in RAM.  Records are identical to the default
-                in-RAM mode for the same seed.
+            max_records_in_ram: When set, the sink streams per-run
+                tables into a spilling :class:`~repro.results.streaming
+                .StreamingTableBuilder` as each run completes, and the
+                result's table is a lazy ``ShardedRecordTable`` holding
+                at most this many rows in RAM.  Records are identical to
+                the default in-RAM mode for the same seed; the bound is
+                recorded on ``provenance.execution``.
         """
+        from repro.exec.backends import ExecutionCancelled
+
         builder = None
         if max_records_in_ram is not None:
             from repro.results.streaming import StreamingTableBuilder
@@ -309,99 +316,49 @@ class MeasurementPlan:
             builder = StreamingTableBuilder(
                 max_records_in_ram=max_records_in_ram
             )
+        tables: List[RecordTable] = []
+        run_indicators: List[IndicatorSet] = []
+
+        def take(index: int, result: Tuple[RecordTable, IndicatorSet]) -> None:
+            run_table, indicators = result
+            if builder is not None:
+                builder.append_table(run_table)
+            else:
+                tables.append(run_table)
+            run_indicators.append(indicators)
+            if on_result is not None:
+                on_result(index)
+
+        n_runs = len(self.design.runs)
         provenance: Optional[Provenance] = None
         if runner is None and isinstance(rng, np.random.Generator):
-            from repro.exec.backends import ExecutionCancelled
-
-            tables: List[RecordTable] = []
-            run_indicators: List[IndicatorSet] = []
-            for run_index, run in enumerate(self.design.runs):
+            for run_index in range(n_runs):
                 if cancel is not None and cancel.is_set():
                     raise ExecutionCancelled(
                         f"measurement cancelled after {run_index} of "
-                        f"{len(self.design.runs)} design runs"
+                        f"{n_runs} design runs"
                     )
-                campaign = self.campaign_for_run(run_index)
-                if self.batch_size is not None:
-                    from repro.attacks.batched import CampaignBatchEngine
-                    from repro.exec import batch_unit_sizes
-
-                    engine = CampaignBatchEngine(campaign)
-                    outcomes = []
-                    for size in batch_unit_sizes(
-                        self.replications, self.batch_size
-                    ):
-                        outcomes.extend(engine.run_outcomes(size, rng))
-                else:
-                    outcomes = campaign.run_batch(self.replications, rng)
-                run_indicators.append(compute_indicators(outcomes))
-                run_table = self._table_for_run(run, run_index, outcomes)
-                if builder is not None:
-                    builder.append_table(run_table)
-                else:
-                    tables.append(run_table)
-                if on_result is not None:
-                    on_result(run_index)
+                take(run_index, self._legacy_run(run_index, rng))
         else:
             active = runner or ExperimentRunner()
             root = as_seed_sequence(rng)
-            if not self.design.runs:
-                if cancel is not None and cancel.is_set():
-                    from repro.exec.backends import ExecutionCancelled
-
-                    raise ExecutionCancelled("measurement cancelled")
-                tables, run_indicators = [], []
-            elif builder is not None:
-                # Streaming: fold each run's table into the builder as
-                # it completes (submission order) instead of collecting.
-                sequences = spawn_sequences(root, len(self.design.runs))
-                indicators_by_run: Dict[int, IndicatorSet] = {}
-
-                def take(index: int, result: Tuple) -> None:
-                    run_table, indicators = result
-                    builder.append_table(run_table)
-                    indicators_by_run[index] = indicators
-                    if on_result is not None:
-                        on_result(index)
-
-                active.map(
-                    self.execute_run,
-                    [(i, seq) for i, seq in enumerate(sequences)],
-                    on_result=take,
-                    cancel=cancel,
-                    collect=False,
-                )
-                tables = []
-                run_indicators = [
-                    indicators_by_run[i]
-                    for i in range(len(self.design.runs))
-                ]
-            else:
-                sequences = spawn_sequences(root, len(self.design.runs))
-                unit_hook = None
-                if on_result is not None:
-                    unit_hook = lambda index, _result: on_result(index)
-                results = active.map(
-                    self.execute_run,
-                    [(i, seq) for i, seq in enumerate(sequences)],
-                    on_result=unit_hook,
-                    cancel=cancel,
-                )
-                tables = [table for table, _ in results]
-                run_indicators = [
-                    indicators for _, indicators in results
-                ]
-            execution = (
-                {"batch_size": self.batch_size}
-                if self.batch_size is not None
-                else None
+            if not n_runs and cancel is not None and cancel.is_set():
+                raise ExecutionCancelled("measurement cancelled")
+            active.map(
+                self.execute_run,
+                list(enumerate(spawn_sequences(root, n_runs))),
+                on_result=take,
+                cancel=cancel,
+                collect=False,
             )
             provenance = provenance_for(
                 self.spec_payload(),
                 root,
                 active,
                 source="measurement_plan",
-                execution=execution,
+                execution=execution_knobs(
+                    max_records_in_ram, self.batch_size
+                ),
             )
         return MeasurementResult(
             table=(
@@ -414,3 +371,23 @@ class MeasurementPlan:
             replications=self.replications,
             provenance=provenance,
         )
+
+    def _legacy_run(
+        self, run_index: int, rng: np.random.Generator
+    ) -> Tuple[RecordTable, IndicatorSet]:
+        """One design run drawing from the caller's shared generator."""
+        campaign = self.campaign_for_run(run_index)
+        if self.batch_size is not None:
+            from repro.attacks.batched import CampaignBatchEngine
+            from repro.exec import batch_unit_sizes
+
+            engine = CampaignBatchEngine(campaign)
+            outcomes = []
+            for size in batch_unit_sizes(self.replications, self.batch_size):
+                outcomes.extend(engine.run_outcomes(size, rng))
+        else:
+            outcomes = campaign.run_batch(self.replications, rng)
+        table = self._table_for_run(
+            self.design.runs[run_index], run_index, outcomes
+        )
+        return table, compute_indicators(outcomes)

@@ -66,6 +66,7 @@ from repro.results import (
     provenance_for,
     summarize_records,
 )
+from repro.results.provenance import execution_knobs
 from repro.results.streaming import LazyPart, ShardedRecordTable
 from repro.scenarios.journal import RunJournal
 from repro.scenarios.registry import SCENARIOS, ScenarioRegistry
@@ -656,7 +657,8 @@ class ScenarioSuite:
                 cache entries are stored as shard manifests.  Records
                 are identical either way; the ``process`` backend
                 materializes tables at the pickling boundary, so use
-                ``serial``/``thread`` for out-of-core suites.
+                ``serial``/``thread`` for out-of-core suites.  Recorded
+                on ``provenance.execution``, outside the spec digest.
             batch_size: When set, campaign replications advance through
                 the mega-batch lowering in lanes of this size (see
                 :class:`repro.attacks.batched.CampaignBatchEngine`).
@@ -744,9 +746,7 @@ class ScenarioSuite:
         # worker dispatch and the provenance payloads (asdict() is the
         # dominant cost of a fully warm cached run).
         spec_dicts = [scenario.to_dict() for scenario, _ in pairs]
-        execution = (
-            {"batch_size": batch_size} if batch_size is not None else None
-        )
+        execution = execution_knobs(max_records_in_ram, batch_size)
 
         if journal is not None and not isinstance(journal, RunJournal):
             journal = RunJournal(journal)

@@ -103,11 +103,51 @@ class TestCampaignEquivalence:
         facade = Session().campaign("smoke", 8, seed=13)
         assert facade.table == legacy
 
-    def test_submit_campaign_equals_sync(self):
+    @pytest.mark.parametrize("batch_size", [None, 4])
+    @pytest.mark.parametrize("stream", [False, True])
+    def test_submit_campaign_equals_sync(self, stream, batch_size):
+        knobs = dict(seed=13, stream=stream, batch_size=batch_size)
+        if stream:
+            knobs["max_records_in_ram"] = 3
         with Session(backend="thread", n_workers=2) as session:
-            sync = session.campaign("smoke", 8, seed=13)
-            job = session.submit_campaign("smoke", 8, seed=13)
-            assert job.result().table == sync.table
+            sync = session.campaign("smoke", 8, **knobs)
+            job = session.submit_campaign("smoke", 8, **knobs).result()
+        assert job.table == sync.table
+        assert job.summary == sync.summary
+        assert job.provenance == sync.provenance
+        expected = {"batch_size": batch_size} if batch_size else {}
+        if stream:
+            expected = {"stream": True, "max_records_in_ram": 3, **expected}
+        assert sync.provenance.execution == (expected or None)
+
+
+class TestTelemetryEquivalence:
+    """Sync verbs and their jobs share one traced body."""
+
+    def test_sync_and_job_snapshots_share_the_root_span(self):
+        with Session(telemetry=True) as session:
+            pairs = {
+                "session.run": (
+                    session.run("smoke", seed=4),
+                    session.submit("smoke", seed=4).result(),
+                ),
+                "session.campaign": (
+                    session.campaign("smoke", 6, seed=4),
+                    session.submit_campaign("smoke", 6, seed=4).result(),
+                ),
+            }
+        for root, (sync, job) in pairs.items():
+            assert sync.table == job.table
+            for result in (sync, job):
+                assert list(result.telemetry.spans["children"]) == [root]
+            # meta["source"] still names the verb that was called.
+            assert sync.telemetry.meta["source"] == root
+        assert pairs["session.run"][1].telemetry.meta["source"] == (
+            "session.submit"
+        )
+        assert pairs["session.campaign"][1].telemetry.meta["source"] == (
+            "session.submit_campaign"
+        )
 
 
 @pytest.mark.scenario

@@ -476,6 +476,18 @@ def _square(x):
     return x * x
 
 
+RESPONSES = ("success", "tta", "ttsf", "final_ratio")
+
+#: ``run_batch_table`` keyword sets for the three campaign row producers:
+#: the shared-``Generator`` loop (no runner), runner replications from
+#: an int seed, and the mega-batch engine.
+CAMPAIGN_PRODUCERS = {
+    "generator": lambda seed: {"rng": np.random.default_rng(seed)},
+    "int_seed": lambda seed: {"rng": seed},
+    "batch_size_4": lambda seed: {"rng": seed, "batch_size": 4},
+}
+
+
 class TestStreamingExecutionPaths:
     """End-to-end: streaming runs reproduce the in-RAM reference."""
 
@@ -492,25 +504,32 @@ class TestStreamingExecutionPaths:
             scenario.build_campaign_config(),
         )
 
-    def test_campaign_streaming_bit_identical(self):
-        campaign = self._campaign()
-        exact = campaign.run_batch_table(40, rng=11)
+    @pytest.mark.parametrize("producer", sorted(CAMPAIGN_PRODUCERS))
+    def test_campaign_streaming_bit_identical(self, producer):
+        exact = self._campaign().run_batch_table(
+            40, **CAMPAIGN_PRODUCERS[producer](11)
+        )
         streamed = self._campaign().run_batch_table(
-            40, rng=11, max_records_in_ram=8
+            40, max_records_in_ram=8, **CAMPAIGN_PRODUCERS[producer](11)
         )
         assert isinstance(streamed, ShardedRecordTable)
         assert streamed.in_ram_rows <= 8
         assert streamed.materialize() == exact
 
-    def test_campaign_aggregators_fed_in_both_modes(self):
-        summary_default = StreamingSummary()
+    @pytest.mark.parametrize("producer", sorted(CAMPAIGN_PRODUCERS))
+    def test_campaign_aggregators_fed_in_both_modes(self, producer):
+        summary_default, rows_default = StreamingSummary(), []
         exact = self._campaign().run_batch_table(
-            25, rng=12, aggregators=(summary_default,)
+            25,
+            aggregators=(summary_default, rows_default.append),
+            **CAMPAIGN_PRODUCERS[producer](12),
         )
-        summary_stream = StreamingSummary()
+        summary_stream, rows_stream = StreamingSummary(), []
         self._campaign().run_batch_table(
-            25, rng=12, max_records_in_ram=8,
-            aggregators=(summary_stream,),
+            25,
+            max_records_in_ram=8,
+            aggregators=(summary_stream, rows_stream.append),
+            **CAMPAIGN_PRODUCERS[producer](12),
         )
         assert summary_default.count == 25
         assert_summaries_close(
@@ -519,8 +538,19 @@ class TestStreamingExecutionPaths:
         assert_summaries_close(
             summary_stream.summary(), summary_default.summary()
         )
+        # Plain callables see every row as an ordered 4-tuple of floats,
+        # identically from the in-RAM and the streaming sink.
+        table_rows = list(
+            zip(*(exact.column(name).tolist() for name in RESPONSES))
+        )
+        assert rows_default == table_rows
+        assert rows_stream == rows_default
+        assert all(
+            type(value) is float for row in rows_stream for value in row
+        )
 
-    def test_measurement_streaming_identical(self):
+    @pytest.mark.parametrize("seed_kind", ["generator", "int_seed"])
+    def test_measurement_streaming_identical(self, seed_kind):
         from repro.attacks.campaign import CampaignConfig
         from repro.attacks.profiles import stuxnet_like
         from repro.core.measurement import MeasurementPlan
@@ -549,16 +579,28 @@ class TestStreamingExecutionPaths:
                 ),
             )
 
-        exact = plan().execute(7)
-        streamed = plan().execute(7, max_records_in_ram=4)
+        def seed():
+            return np.random.default_rng(7) if seed_kind == "generator" else 7
+
+        exact = plan().execute(seed())
+        streamed = plan().execute(seed(), max_records_in_ram=4)
         assert isinstance(streamed.table, ShardedRecordTable)
         assert streamed.table.in_ram_rows <= 4
         assert streamed.table.materialize() == exact.table
         assert streamed.run_indicators == exact.run_indicators
+        if seed_kind == "generator":
+            # The shared-generator path has no seed provenance.
+            assert exact.provenance is streamed.provenance is None
+            return
         assert (
             streamed.provenance.spec_digest
             == exact.provenance.spec_digest
         )
+        assert exact.provenance.execution is None
+        assert streamed.provenance.execution == {
+            "stream": True,
+            "max_records_in_ram": 4,
+        }
 
     def test_suite_streaming_and_aggregate(self):
         from repro.scenarios.suite import ScenarioSuite
@@ -576,6 +618,24 @@ class TestStreamingExecutionPaths:
         pooled = aggregate.pooled.summary()
         assert_summaries_close(pooled, summarize_records(exact.table))
         assert "smoke" in aggregate.summaries()
+
+    def test_suite_records_streaming_bound_in_provenance(self):
+        from repro.scenarios.suite import ScenarioSuite
+
+        exact = ScenarioSuite(["smoke"]).run(seed=5, batch_size=2)
+        streamed = ScenarioSuite(["smoke"]).run(
+            seed=5, batch_size=2, max_records_in_ram=8
+        )
+        expected = {"stream": True, "max_records_in_ram": 8, "batch_size": 2}
+        assert streamed.provenance.execution == expected
+        assert streamed.results[0].provenance.execution == expected
+        assert exact.provenance.execution == {"batch_size": 2}
+        # An execution knob: the spec digest (and so every cache key and
+        # journal identity) is unchanged.
+        assert (
+            streamed.provenance.spec_digest == exact.provenance.spec_digest
+        )
+        assert streamed.table.materialize() == exact.table
 
     def test_suite_merge_with_empty_shard(self):
         from repro.scenarios.suite import ScenarioSuite, SuiteResult
