@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Single CI gate: tier-1 unit suite, scenario tier, static-analysis
-# lint, chaos tier, facade selftest, perf regression, telemetry + retry
-# overhead.
+# Single CI gate: tier-1 unit suite, scenario tier, paper claims,
+# static-analysis lint, chaos tier, facade selftest, perf regression,
+# telemetry + retry overhead.
 #
-#   scripts/ci.sh                 # full gate (tier-1 + scenario + chaos + selftest + bench)
+#   scripts/ci.sh                 # full gate (tier-1 + scenario + paper + chaos + selftest + bench)
 #   SKIP_BENCH=1 scripts/ci.sh    # fast gate (no benchmark re-run)
 #
 # The scenario stage runs the full built-in catalog: the 12-built-in
@@ -39,6 +39,14 @@ python -m pytest -x -q
 echo
 echo "== scenario tier (built-in catalog, facade equivalence) =="
 python -m pytest -m scenario -q
+
+echo
+echo "== paper stage (E1-E9 claims and ablations) =="
+# The paper's experiment regenerations assert its claims; every
+# built-in's records feed them, so they gate each change to the
+# simulation, not only benchmark re-runs.
+python -m pytest benchmarks/test_bench_e*.py benchmarks/test_bench_abl_*.py \
+    -m bench -q --benchmark-disable
 
 echo
 echo "== static analysis lint gate =="

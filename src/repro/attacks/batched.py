@@ -7,8 +7,8 @@ precomputes are applied as array operations across the whole batch —
 entry/propagation/escalation become block-drawn exponential races over a
 ``(B, n_nodes)`` compromise-time matrix, detection candidates reduce to
 one column-min, and the exfiltration accrual / predicted-crossing check
-runs in closed form against the campaign's single shared healthy tick
-trajectory.
+runs in closed form against the healthy tick trajectory that the
+scalar engine shares per process (``campaign._shared_trajectory``).
 
 Determinism contract (mirrors :mod:`repro.san.batched`):
 
@@ -574,7 +574,8 @@ class CampaignBatchEngine:
     def _healthy_finding_time(self) -> Optional[float]:
         """The shared healthy trajectory's first master finding time.
 
-        Scanned lazily in chunks (shared and cached campaign-wide);
+        Scanned lazily in chunks (shared with the scalar engine through
+        the per-process trajectory cache);
         ``None`` when the healthy plant never trips the master before
         the horizon.
         """

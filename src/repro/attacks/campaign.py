@@ -33,12 +33,14 @@ import bisect
 import copy
 import math
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.telemetry.core import current as _current_telemetry
+from repro.telemetry.core import metric_inc as _metric_inc
 from repro.telemetry.core import trace as _span
 
 if TYPE_CHECKING:  # avoid import cost on the hot serial path
@@ -81,12 +83,17 @@ class CampaignConfig:
             (the pre-existing stop-at-detection behaviour).
         plant_factory: Builds the physical process under control — the
             cooling plant by default; pass e.g.
-            ``lambda: PowerFeeder()`` for the smart-grid scenario.
+            ``lambda: PowerFeeder()`` for the smart-grid scenario.  It
+            must be deterministic: every call returns a plant in the
+            same initial state.  Tick elision relies on that, and the
+            healthy trajectory is cached per process under the factory
+            object, so campaigns passing the same factory share it.
         tick_elision: Run the campaign event loop on the tick-elision
             fast path (default).  Pre-sabotage plant/master ticks are
             rng-free and independent of the attack state, so they are
             served from one lazily-extended healthy trajectory shared
-            by every replication of the campaign; the per-tick loop
+            by every replication of every campaign with the same plant
+            factory, tick interval and horizon; the per-tick loop
             resumes bit-exactly when a controller is reprogrammed.
             ``False`` keeps the legacy per-tick loop — outcomes are
             identical either way for the same seed (see
@@ -255,16 +262,17 @@ _MILESTONE_SCAN_CHUNK = 64
 
 
 class _HealthyTickTrajectory:
-    """The deterministic pre-sabotage tick trajectory of one campaign.
+    """The deterministic pre-sabotage tick trajectory of a plant.
 
     Until a controller is reprogrammed, the campaign's ``on_tick``
-    handler is a pure function of the (plant, config) pair: it draws no
-    randomness, reads no attack state, and the control registers never
-    change.  Every replication therefore ticks through the *same*
-    healthy trajectory — so one probe simulation, extended lazily and
-    shared by all replications of the campaign, replaces the per-tick
-    loop.  The probe records, per tick ``k`` (1-based, times built by
-    the same float accumulation the event loop uses):
+    handler is a pure function of the plant factory, the tick interval
+    and the horizon: it draws no randomness, reads no attack state, and
+    the control registers never change.  Every replication therefore
+    ticks through the *same* healthy trajectory — so one probe
+    simulation, extended lazily and shared by all replications of every
+    campaign with an equal key (:func:`_shared_trajectory`), replaces
+    the per-tick loop.  The probe records, per tick ``k`` (1-based,
+    times built by the same float accumulation the event loop uses):
 
     * the master's first finding (alarm or spoof-detector label) and
       the first tick at which accumulated damage crosses impairment —
@@ -276,14 +284,20 @@ class _HealthyTickTrajectory:
       resume the exact legacy per-tick loop from tick ``j + 1``.
 
     Thread-safe: extension is serialized by a lock (the ``thread``
-    backend runs replications of one campaign concurrently); already
-    scanned ticks are immutable and read lock-free.
+    backend runs replications concurrently); already scanned ticks are
+    immutable and read lock-free.
     """
 
     def __init__(
         self, config: CampaignConfig, record_snapshots: bool = True
     ) -> None:
-        self.config = config
+        # The trajectory is shared across campaigns (see
+        # _shared_trajectory), so it copies the config fields it reads
+        # now and never holds the config: a caller mutating one
+        # campaign's config in place cannot corrupt the others'.
+        self.tick_interval = config.tick_interval
+        self.horizon = config.horizon
+        self._dt_seconds = config.tick_interval * 3600.0
         self.record_snapshots = record_snapshots
         self.plant = config.plant_factory()
         self.registers = self.plant.default_registers()
@@ -295,8 +309,8 @@ class _HealthyTickTrajectory:
         # elided path reproduces the same float values.
         times = [0.0]
         while True:
-            nxt = times[-1] + config.tick_interval
-            if nxt > config.horizon:
+            nxt = times[-1] + self.tick_interval
+            if nxt > self.horizon:
                 break
             times.append(nxt)
         self.times = times
@@ -331,15 +345,19 @@ class _HealthyTickTrajectory:
         if self.scanned >= min(k, self.n_ticks):
             return
         with self._lock:
+            start = self.scanned
             target = min(k, self.n_ticks)
             while self.scanned < target:
                 self._step_once()
+            stepped = self.scanned - start
+        if stepped:
+            _metric_inc("campaign.healthy_ticks_scanned", stepped)
 
     def _step_once(self) -> None:
         """One healthy tick, mirroring ``on_tick``'s pre-sabotage body."""
         k = self.scanned + 1
         now = self.times[k]
-        dt_seconds = self.config.tick_interval * 3600.0
+        dt_seconds = self._dt_seconds
         self.plant.step(self.registers, dt=dt_seconds)
         self.damage.update(self.plant.stress_level(), dt_seconds, now)
         reported = dict(self.registers)
@@ -396,6 +414,58 @@ class _HealthyTickTrajectory:
         return self.readings[1 : k + 1]
 
 
+#: Distinct healthy trajectories kept per process.  A DoE study varies
+#: only the diversity configuration between runs, so its campaigns share
+#: one key; the 12 built-in scenarios use 5.
+_TRAJECTORY_CACHE_SIZE = 8
+
+_trajectory_cache: "OrderedDict[tuple, _HealthyTickTrajectory]" = OrderedDict()
+_trajectory_cache_lock = threading.Lock()
+
+
+def _shared_trajectory(
+    config: CampaignConfig, record_snapshots: bool
+) -> _HealthyTickTrajectory:
+    """The process-wide healthy trajectory for ``config`` (LRU-cached).
+
+    The key is the content the trajectory reads: the plant factory, the
+    tick interval (value and type, since the tick times are accumulated
+    in its type), the horizon and whether snapshots are recorded.  It
+    holds the factory by strong reference, so a collected factory's
+    address can never alias a live entry; factories must be
+    deterministic (see :attr:`CampaignConfig.plant_factory`).  The lock
+    guards only the lookup and the insert — a trajectory is cheap to
+    construct because it scans lazily, and a racing duplicate is dropped
+    in favour of the entry that got there first.
+    """
+    key = (
+        config.plant_factory,
+        config.tick_interval,
+        type(config.tick_interval),
+        config.horizon,
+        record_snapshots,
+    )
+    try:
+        hash(key)
+    except TypeError:  # an unhashable factory object: build uncached
+        _metric_inc("campaign.trajectory_builds")
+        return _HealthyTickTrajectory(config, record_snapshots)
+    with _trajectory_cache_lock:
+        trajectory = _trajectory_cache.get(key)
+        if trajectory is not None:
+            _trajectory_cache.move_to_end(key)
+            return trajectory
+    built = _HealthyTickTrajectory(config, record_snapshots)
+    with _trajectory_cache_lock:
+        trajectory = _trajectory_cache.setdefault(key, built)
+        _trajectory_cache.move_to_end(key)
+        while len(_trajectory_cache) > _TRAJECTORY_CACHE_SIZE:
+            _trajectory_cache.popitem(last=False)
+    if trajectory is built:
+        _metric_inc("campaign.trajectory_builds")
+    return trajectory
+
+
 class AttackCampaign:
     """Runs attack campaigns against a configured SCADA system.
 
@@ -428,9 +498,9 @@ class AttackCampaign:
         self._trajectory: Optional[_HealthyTickTrajectory] = None
 
     def __getstate__(self) -> Dict[str, object]:
-        """Pickle without the healthy trajectory (it holds a lock and is
-        cheap to rebuild worker-side, where one unpickled campaign is
-        shared by every replication of a chunk)."""
+        """Pickle without the healthy trajectory (it holds a lock; a
+        worker looks it up in its own process cache, or the one it
+        inherited at fork)."""
         state = self.__dict__.copy()
         state["_trajectory"] = None
         return state
@@ -582,14 +652,16 @@ class AttackCampaign:
         """Drop the compiled probability tables and healthy trajectory.
 
         Call after mutating the campaign's network, catalog, threat or
-        config in place; the next replication recompiles both against
-        the new configuration.
+        config in place; the next replication recompiles the tables and
+        looks the trajectory up again under the current configuration.
+        The shared trajectory itself is left in the cache for other
+        campaigns.
         """
         self._tables = None
         self._trajectory = None
 
     def _healthy_trajectory(self) -> _HealthyTickTrajectory:
-        """The shared healthy tick trajectory (built on first use).
+        """The shared healthy tick trajectory (looked up on first use).
 
         Per-tick state snapshots exist to resume the per-tick loop at
         sabotage, which only ``"impair"``-goal threats can trigger —
@@ -597,7 +669,7 @@ class AttackCampaign:
         """
         trajectory = self._trajectory
         if trajectory is None:
-            trajectory = _HealthyTickTrajectory(
+            trajectory = _shared_trajectory(
                 self.config,
                 record_snapshots=(self.threat.goal == "impair"),
             )

@@ -132,9 +132,13 @@ class CoolingPlant(PhysicalProcess):
             remaining = dt
             while remaining > 1e-9:
                 sub = min(self.MAX_SUBSTEP, remaining)
-                self.step(registers, sub)
+                self._advance(registers, sub)
                 remaining -= sub
             return
+        self._advance(registers, dt)
+
+    def _advance(self, registers: Dict[int, int], dt: float) -> None:
+        """One explicit integration step of ``dt <= MAX_SUBSTEP`` seconds."""
         cfg = self.config
         n_crac_on = max(0, min(registers.get(REG_CRAC_ENABLE, 0), cfg.n_crac))
         pump_on = registers.get(REG_PUMP_ENABLE, 0) > 0

@@ -96,6 +96,22 @@ class TestCoolingPlant:
         plant.run(registers, duration=2 * 3600, dt=900.0)
         assert 5.0 < plant.room.temperature < 30.0  # no blow-up
 
+    def test_large_dt_equals_its_substeps(self):
+        # 900.5 s: thirty MAX_SUBSTEP slices plus a 0.5 s remainder.
+        whole, sliced = CoolingPlant(), CoolingPlant()
+        reg_whole = whole.default_registers()
+        reg_sliced = sliced.default_registers()
+        reg_whole[REG_PUMP_ENABLE] = reg_sliced[REG_PUMP_ENABLE] = 0
+        whole.step(reg_whole, dt=900.5)
+        remaining = 900.5
+        while remaining > 1e-9:
+            sub = min(CoolingPlant.MAX_SUBSTEP, remaining)
+            sliced.step(reg_sliced, dt=sub)
+            remaining -= sub
+        assert len(whole.history) == 31
+        assert whole.history == sliced.history
+        assert reg_whole == reg_sliced
+
     def test_history_recording_optional(self):
         plant = CoolingPlant(record_history=False)
         registers = plant.default_registers()
