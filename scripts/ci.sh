@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Single CI gate: tier-1 unit suite, scenario tier, paper claims,
-# static-analysis lint, chaos tier, facade selftest, perf regression,
-# telemetry + retry overhead.
+# Single CI gate: tier-1 unit suite, perfbench's own tests, scenario
+# tier, paper claims, static-analysis lint, chaos tier, facade selftest,
+# perf regression, telemetry + retry overhead.
 #
-#   scripts/ci.sh                 # full gate (tier-1 + scenario + paper + chaos + selftest + bench)
+#   scripts/ci.sh                 # full gate (tier-1 + perfbench + scenario + paper + chaos + selftest + bench)
 #   SKIP_BENCH=1 scripts/ci.sh    # fast gate (no benchmark re-run)
 #
 # The scenario stage runs the full built-in catalog: the 12-built-in
@@ -35,6 +35,12 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 echo "== tier-1 test suite =="
 python -m pytest -x -q
+
+echo
+echo "== perfbench self-tests =="
+# The benchmark's arithmetic and output checks (stdlib only, ~4 s).
+# pytest.ini's testpaths leave perfbench/ out of the tier-1 run.
+python -m pytest perfbench -q
 
 echo
 echo "== scenario tier (built-in catalog, facade equivalence) =="

@@ -728,8 +728,7 @@ class RunningStats:
         Raises:
             ValueError: On an empty state or a level outside (0, 1).
         """
-        from repro.stats.ci import ConfidenceInterval
-        from scipy import stats as _sps
+        from repro.stats.ci import ConfidenceInterval, _t_critical
 
         if not 0.0 < level < 1.0:
             raise ValueError(f"level must be in (0, 1), got {level}")
@@ -740,9 +739,7 @@ class RunningStats:
                 self.mean, self.mean, self.mean, level, 1
             )
         sem = self.std / math.sqrt(self.count)
-        t_crit = float(
-            _sps.t.ppf(0.5 + level / 2.0, df=self.count - 1)
-        )
+        t_crit = _t_critical(level, self.count - 1)
         return ConfidenceInterval(
             self.mean,
             self.mean - t_crit * sem,

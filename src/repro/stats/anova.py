@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as _sps
+from scipy.special import fdtrc
 
 
 @dataclass(frozen=True)
@@ -285,7 +285,7 @@ def anova(
         ms = ss / df if df > 0 else float("nan")
         if residual_df > 0 and mse > 0:
             f_stat = ms / mse
-            p = float(_sps.f.sf(f_stat, df, residual_df))
+            p = float(fdtrc(df, residual_df, f_stat))
         else:
             f_stat = float("nan")
             p = float("nan")

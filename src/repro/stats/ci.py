@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import stats as _sps
+from scipy.special import ndtri, stdtrit
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,14 @@ class ConfidenceInterval:
         return f"{self.estimate:.4g} [{self.low:.4g}, {self.high:.4g}] ({pct}% CI, n={self.n})"
 
 
+def _t_critical(level: float, df: int) -> float:
+    """Two-sided Student-t critical value for ``level`` with ``df``
+    degrees of freedom (``scipy.stats.t.ppf`` at ``0.5 + level / 2``,
+    via the same special-function kernel, so results are bit-identical).
+    """
+    return float(stdtrit(df, 0.5 + level / 2.0))
+
+
 def mean_ci(values: Sequence[float], level: float = 0.95) -> ConfidenceInterval:
     """Student-t confidence interval for the mean of ``values``.
 
@@ -72,7 +80,7 @@ def mean_ci(values: Sequence[float], level: float = 0.95) -> ConfidenceInterval:
     if n == 1:
         return ConfidenceInterval(mean, mean, mean, level, 1)
     sem = float(arr.std(ddof=1)) / math.sqrt(n)
-    t_crit = float(_sps.t.ppf(0.5 + level / 2.0, df=n - 1))
+    t_crit = _t_critical(level, n - 1)
     return ConfidenceInterval(mean, mean - t_crit * sem, mean + t_crit * sem, level, n)
 
 
@@ -95,7 +103,7 @@ def proportion_ci(
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
     p_hat = successes / trials
-    z = float(_sps.norm.ppf(0.5 + level / 2.0))
+    z = float(ndtri(0.5 + level / 2.0))
     denom = 1.0 + z * z / trials
     center = (p_hat + z * z / (2 * trials)) / denom
     margin = (

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize as _opt
-from scipy import stats as _sps
+from scipy.special import ndtr
 
 from repro.stats.distributions import (
     Distribution,
@@ -99,13 +98,17 @@ def fit_lognormal(samples: Sequence[float]) -> FitResult:
     )
     ks = _ks(
         arr,
-        lambda x: _sps.norm.cdf((np.log(x) - mu) / sigma),
+        lambda x: ndtr((np.log(x) - mu) / sigma),
     )
     return FitResult(dist, ll, ks, int(arr.size))
 
 
 def fit_weibull(samples: Sequence[float]) -> FitResult:
     """MLE Weibull fit (profile likelihood on the shape parameter)."""
+    # Only this fit needs a root finder; keep scipy.optimize off the
+    # ``import repro`` path.
+    from scipy.optimize import brentq
+
     arr = _validate(samples)
     logs = np.log(arr)
 
@@ -114,7 +117,7 @@ def fit_weibull(samples: Sequence[float]) -> FitResult:
         return (xk * logs).sum() / xk.sum() - 1.0 / k - logs.mean()
 
     try:
-        shape = float(_opt.brentq(shape_equation, 0.02, 50.0))
+        shape = float(brentq(shape_equation, 0.02, 50.0))
     except ValueError:
         shape = 1.0  # degenerate sample; fall back to exponential shape
     scale = float((arr**shape).mean() ** (1.0 / shape))
