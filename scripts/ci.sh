@@ -8,8 +8,8 @@
 #
 # The scenario stage runs the full built-in catalog: the 12-built-in
 # distributional-identity checks (scalar vs mega-batch) and the
-# facade-equivalence checks (Session vs the legacy entry points, on
-# every backend).
+# facade-equivalence checks (Session vs ScenarioSuite/DiversityStudy on
+# an explicit ExperimentRunner, on every backend).
 #
 # The chaos stage runs the seeded fault-injection tier (worker crashes,
 # hangs, kills, corrupted chunk payloads) and pins that records with

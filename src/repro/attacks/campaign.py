@@ -1274,9 +1274,11 @@ class AttackCampaign:
         from repro.exec import ExperimentRunner
 
         active = runner or ExperimentRunner()
-        unit_hook = None
-        if on_result is not None:
-            unit_hook = lambda index, _result: on_result(index)
+
+        def unit_hook(index: int, _outcome: AttackOutcome) -> None:
+            if on_result is not None:
+                on_result(index)
+
         return active.run_replications(
             self.run,
             replications,

@@ -7,7 +7,6 @@ with every intermediate artifact and a plain-text report.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -39,7 +38,6 @@ from repro.doe.design import Design, Factor
 from repro.doe.factorial import full_factorial
 from repro.doe.fractional import fractional_factorial
 from repro.doe.plackett_burman import plackett_burman
-from repro.exec.backends import get_backend
 from repro.exec.runner import ExperimentRunner
 from repro.exec.seeding import SeedLike
 from repro.results import Provenance, RecordTable
@@ -137,17 +135,14 @@ class DiversityStudy:
             designs.
         replications: Campaign replications per configuration.
         campaign_config: Campaign parameters.
-        backend: Measurement execution backend (``"serial"``,
-            ``"thread"`` or ``"process"`` — see :mod:`repro.exec`).
-            ``None`` (default) keeps the historical sequential
-            shared-generator path; any explicit backend switches step 2
-            to spawn-per-replication seeding, whose records are
-            identical across backends and worker counts.
-        n_workers: Worker-pool width for parallel backends.
-        runner: The :class:`~repro.exec.runner.ExperimentRunner` to
-            execute step 2 on; takes precedence over
-            ``backend``/``n_workers`` (this is what
-            :class:`repro.api.Session` passes).
+        runner: Keyword-only.  The
+            :class:`~repro.exec.runner.ExperimentRunner` to execute
+            step 2 on (this is what :class:`repro.api.Session` passes),
+            and the only way to choose a backend or worker count.  Any
+            runner uses spawn-per-replication seeding, whose records are
+            identical across backends and worker counts; ``None``
+            (default) with a :class:`numpy.random.Generator` seed keeps
+            the historical sequential shared-generator path.
     """
 
     def __init__(
@@ -160,18 +155,11 @@ class DiversityStudy:
         two_level: bool = False,
         replications: int = 20,
         campaign_config: Optional[CampaignConfig] = None,
-        backend: Optional[str] = None,
-        n_workers: Optional[int] = None,
+        *,
         runner: Optional[ExperimentRunner] = None,
     ) -> None:
         if design_kind not in ("full", "fractional", "pb"):
             raise ValueError(f"unknown design_kind {design_kind!r}")
-        if backend is not None:
-            # Fail fast: a typo'd backend name must not surface as a
-            # late failure deep inside execute().
-            get_backend(backend)
-        if n_workers is not None and n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         self.network_factory = network_factory
         self.catalog = catalog
         self.threat = threat
@@ -180,16 +168,13 @@ class DiversityStudy:
         self.two_level = two_level or design_kind in ("fractional", "pb")
         self.replications = replications
         self.campaign_config = campaign_config or CampaignConfig()
-        self.backend = backend
-        self.n_workers = n_workers
         self.runner = runner
 
     @classmethod
     def from_scenario(
         cls,
         scenario: "Scenario",
-        backend: Optional[str] = None,
-        n_workers: Optional[int] = None,
+        *,
         runner: Optional[ExperimentRunner] = None,
     ) -> "DiversityStudy":
         """Build the study a declarative scenario spec describes.
@@ -197,24 +182,9 @@ class DiversityStudy:
         Args:
             scenario: A :class:`repro.scenarios.spec.Scenario` (or any
                 object exposing its builder interface).
-            backend / n_workers: Execution overrides — deliberately not
-                part of the spec, so the same scenario runs anywhere.
-                *Deprecated:* prefer ``runner=`` or
-                ``repro.api.Session.study(...)``, which own the
-                execution resources; the old arguments keep working
-                with bit-identical results.
-            runner: Step-2 runner; takes precedence over
-                ``backend``/``n_workers``.
+            runner: Step-2 runner — deliberately not part of the spec,
+                so the same scenario runs anywhere.
         """
-        if runner is None and (backend is not None or n_workers is not None):
-            warnings.warn(
-                "DiversityStudy.from_scenario(backend=..., n_workers=...) "
-                "is deprecated; pass runner=ExperimentRunner(...) or use "
-                "repro.api.Session.study(...) (results are bit-identical "
-                "either way)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         return cls(
             network_factory=scenario.build_network_factory(),
             catalog=scenario.build_catalog(),
@@ -224,8 +194,6 @@ class DiversityStudy:
             two_level=scenario.two_level,
             replications=scenario.replications,
             campaign_config=scenario.build_campaign_config(),
-            backend=backend,
-            n_workers=n_workers,
             runner=runner,
         )
 
@@ -291,8 +259,8 @@ class DiversityStudy:
         Args:
             rng: Seed or generator for step 2 — a
                 :class:`numpy.random.Generator` keeps the historical
-                shared-generator stream when no backend is set; a plain
-                seed (or any backend/runner) uses the backend-invariant
+                shared-generator stream when no runner is set; a plain
+                seed (or any runner) uses the backend-invariant
                 spawn-per-replication path of :mod:`repro.exec`.
             on_result: Optional step-2 progress hook (per design run).
             cancel: Optional cancellation event — see
@@ -317,11 +285,8 @@ class DiversityStudy:
             replications=self.replications,
             campaign_config=self.campaign_config,
         )
-        runner = self.runner
-        if runner is None and self.backend is not None:
-            runner = ExperimentRunner(self.backend, self.n_workers)
         measurement = plan.execute(
-            rng, runner=runner, on_result=on_result, cancel=cancel
+            rng, runner=self.runner, on_result=on_result, cancel=cancel
         )
         assessment = assess(measurement)
         return StudyResult(

@@ -22,6 +22,7 @@ for the same work list.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import time
@@ -30,6 +31,7 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     ThreadPoolExecutor,
 )
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -90,11 +92,10 @@ def _execute_units(
     ``attempt`` is the chunk's dispatch attempt, which ages out
     attempt-gated faults so retries converge.
     """
-    if fault_plan is None:
-        return [(unit.index, unit.fn(*unit.args)) for unit in chunk]
     pairs: List[Tuple[int, Any]] = []
     for unit in chunk:
-        fault_plan.apply_unit_faults(unit.index, attempt)
+        if fault_plan is not None:
+            fault_plan.apply_unit_faults(unit.index, attempt)
         pairs.append((unit.index, unit.fn(*unit.args)))
     return pairs
 
@@ -131,11 +132,12 @@ def run_chunk(
 
 def run_chunk_captured(
     chunk: Sequence[WorkUnit],
-    spec: Dict[str, Any],
     fault_plan: Optional[Any] = None,
     attempt: int = 0,
+    *,
+    spec: Dict[str, Any],
 ) -> Tuple[Any, Dict[str, Any]]:
-    """Execute a chunk under a fresh worker-side telemetry capture.
+    """:func:`run_chunk` under a fresh worker-side telemetry capture.
 
     Used by the pool backends when the coordinator has telemetry
     active: the chunk runs with its own :class:`Telemetry` installed
@@ -144,22 +146,14 @@ def run_chunk_captured(
     to merge in submission order.  Telemetry never touches RNG state,
     so the results are bit-identical to the uncaptured path.
 
-    Module-level so :class:`ProcessBackend` can pickle it.
+    Module-level (and ``spec`` a keyword, bound with
+    :func:`functools.partial`) so :class:`ProcessBackend` can pickle it.
     """
     telemetry = Telemetry(profile=spec.get("profile"))
     with telemetry.activate(), telemetry.profile_scope():
         with telemetry.tracer.span("exec.chunk"):
-            try:
-                pairs = _execute_units(chunk, fault_plan, attempt)
-            except BaseException as exc:
-                raise attach_remote_traceback(exc)
-        if fault_plan is not None:
-            corrupted = fault_plan.corrupt_chunk(
-                (unit.index for unit in chunk), attempt
-            )
-            if corrupted is not None:
-                pairs = corrupted
-    return pairs, telemetry.delta()
+            payload = run_chunk(chunk, fault_plan, attempt)
+    return payload, telemetry.delta()
 
 
 def make_chunks(
@@ -202,17 +196,19 @@ class ExecutionBackend:
 
     ``telemetry`` (optional) is the coordinator's active
     :class:`~repro.telemetry.Telemetry`.  Pool backends then dispatch
-    chunks through :func:`run_chunk_captured`, record per-chunk wait
-    times (``exec.chunk_wait_ms``) and fold each worker delta back in
+    chunks through :func:`run_chunk_captured` (a capturing wrapper
+    around :func:`run_chunk`), record per-chunk wait times
+    (``exec.chunk_wait_ms``) and fold each worker delta back in
     submission order; the serial backend applies the opt-in profiler
-    in-process.  ``None`` (the default) is the untouched fast path.
+    in-process.  Either way the units run through the same loop.
 
     ``retry`` (optional) is a
     :class:`~repro.exec.resilience.RetryPolicy` governing transient
     failures, the per-chunk watchdog and the pool-death budget.
-    ``None`` keeps the legacy fail-fast semantics for worker errors
-    (no retries, no watchdog) while still surviving pool deaths —
-    see :data:`~repro.exec.resilience.LEGACY_POLICY`.  Because every
+    ``None`` runs the same retry loop under
+    :data:`~repro.exec.resilience.LEGACY_POLICY`: one attempt, so
+    worker errors fail fast (no retries, no watchdog), while pool
+    deaths are still survived.  Because every
     unit carries its centrally-spawned seed material in its arguments,
     a retried/re-dispatched unit is bit-identical to a fault-free run.
 
@@ -263,47 +259,18 @@ class SerialBackend(ExecutionBackend):
     ) -> List[Any]:
         # Serial units record spans/metrics inline on the already-active
         # telemetry; only the opt-in profiler needs wrapping here.
-        if retry is None and fault_plan is None:
-            runner = lambda: self._run_units(  # noqa: E731
-                units, on_result, cancel, collect
-            )
-        else:
-            policy = retry if retry is not None else LEGACY_POLICY
-            runner = lambda: self._run_units_resilient(  # noqa: E731
+        policy = retry if retry is not None else LEGACY_POLICY
+        with (
+            telemetry.profile_scope()
+            if telemetry is not None
+            else nullcontext()
+        ):
+            return self._run_units(
                 units, on_result, cancel, collect, policy, fault_plan
             )
-        if telemetry is not None and telemetry.profile is not None:
-            with telemetry.profile_scope():
-                return runner()
-        return runner()
 
     @staticmethod
     def _run_units(
-        units: Sequence[WorkUnit],
-        on_result: Optional[ResultCallback],
-        cancel: Optional[Any],
-        collect: bool,
-    ) -> List[Any]:
-        if on_result is None and cancel is None and collect:
-            return [unit.fn(*unit.args) for unit in units]
-        results: List[Any] = []
-        done = 0
-        for unit in units:
-            if cancel is not None and cancel.is_set():
-                raise ExecutionCancelled(
-                    f"batch cancelled after {done} of "
-                    f"{len(units)} units"
-                )
-            result = unit.fn(*unit.args)
-            done += 1
-            if collect:
-                results.append(result)
-            if on_result is not None:
-                on_result(unit.index, result)
-        return results
-
-    @staticmethod
-    def _run_units_resilient(
         units: Sequence[WorkUnit],
         on_result: Optional[ResultCallback],
         cancel: Optional[Any],
@@ -316,9 +283,11 @@ class SerialBackend(ExecutionBackend):
 
         A retried unit re-runs ``unit.fn(*unit.args)`` verbatim — its
         seed material lives in ``args`` — so results stay bit-identical
-        to a fault-free pass.  Corruption faults do not apply serially
-        (there is no transport to corrupt) and injected kills are
-        demoted to transient crashes by the plan itself.
+        to a fault-free pass.  Under the no-policy
+        :data:`~repro.exec.resilience.LEGACY_POLICY` (one attempt) the
+        first failure propagates.  Corruption faults do not apply
+        serially (there is no transport to corrupt) and injected kills
+        are demoted to transient crashes by the plan itself.
         """
         jitter_rng = (
             policy.jitter_generator() if policy.max_attempts > 1 else None
@@ -415,20 +384,17 @@ class _PoolBackend(ExecutionBackend):
         collected: Dict[int, Any] = {}
         done = [0]
 
-        if spec is None:
-            def submit_chunk(pool, chunk, attempt):
-                return pool.submit(run_chunk, chunk, fault_plan, attempt)
+        worker = (
+            run_chunk
+            if spec is None
+            else functools.partial(run_chunk_captured, spec=spec)
+        )
 
-            def run_inline(chunk, attempt):
-                return run_chunk(chunk, fault_plan, attempt)
-        else:
-            def submit_chunk(pool, chunk, attempt):
-                return pool.submit(
-                    run_chunk_captured, chunk, spec, fault_plan, attempt
-                )
+        def submit_chunk(pool, chunk, attempt):
+            return pool.submit(worker, chunk, fault_plan, attempt)
 
-            def run_inline(chunk, attempt):
-                return run_chunk_captured(chunk, spec, fault_plan, attempt)
+        def run_inline(chunk, attempt):
+            return worker(chunk, fault_plan, attempt)
 
         def validate(payload):
             if spec is not None:

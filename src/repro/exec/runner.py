@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 import math
 import os
+from contextlib import nullcontext
 from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -200,23 +201,17 @@ class ExperimentRunner:
             len(units), n_chunks, self.backend.name, self.n_workers,
         )
         telemetry = _current_telemetry()
-        if telemetry is None:
-            return self.backend.run(
-                units,
-                self.n_workers,
-                chunk,
-                on_result=on_result,
-                cancel=cancel,
-                collect=collect,
-                retry=self.retry,
-                fault_plan=self.fault_plan,
-            )
-        with telemetry.span("exec.map"):
-            metrics = telemetry.metrics
-            metrics.inc("exec.dispatches")
-            metrics.inc("exec.units", len(units))
-            metrics.inc("exec.chunks", n_chunks)
-            metrics.gauge("exec.n_workers", self.n_workers)
+        with (
+            telemetry.span("exec.map")
+            if telemetry is not None
+            else nullcontext()
+        ):
+            if telemetry is not None:
+                metrics = telemetry.metrics
+                metrics.inc("exec.dispatches")
+                metrics.inc("exec.units", len(units))
+                metrics.inc("exec.chunks", n_chunks)
+                metrics.gauge("exec.n_workers", self.n_workers)
             return self.backend.run(
                 units,
                 self.n_workers,

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import logging
 import traceback as _traceback
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -79,10 +78,6 @@ from repro.telemetry.core import (
 )
 
 _LOG = logging.getLogger(__name__)
-
-#: Sentinel distinguishing "argument omitted" from an explicit value in
-#: deprecated signatures.
-_UNSET = object()
 
 #: Columns of the cross-scenario comparison, in report order — the
 #: summary keys produced by :func:`repro.results.summarize_records`.
@@ -466,20 +461,12 @@ class ScenarioSuite:
     Args:
         scenarios: Scenario specs, names (looked up in ``registry``),
             or a mix.
-        backend: Execution backend for the scenario fan-out
-            (``"serial"`` / ``"thread"`` / ``"process"``), validated at
-            construction.  *Deprecated:* prefer passing a ``runner`` —
-            or using :class:`repro.api.Session`, which owns one — so
-            execution resources are configured in one place.  The old
-            signature keeps working with bit-identical results.
-        n_workers: Worker-pool width for parallel backends.
-            *Deprecated* alongside ``backend``.
         registry: Where names are resolved (default: the library-wide
             catalog).
         runner: The :class:`~repro.exec.runner.ExperimentRunner` to fan
-            scenarios out on; takes precedence over
-            ``backend``/``n_workers``.  Results never depend on the
-            runner, only wall-clock does.
+            scenarios out on (default: a serial one).  Results never
+            depend on the runner, only wall-clock does.  Every argument
+            after ``scenarios`` is keyword-only.
         cache: A ready :class:`~repro.results.ResultCache` instance;
             takes precedence over ``cache_dir``.
         cache_dir: Enable content-addressed result caching in this
@@ -503,31 +490,13 @@ class ScenarioSuite:
     def __init__(
         self,
         scenarios: Sequence[Union[str, Scenario]],
-        backend: str = _UNSET,
-        n_workers: Optional[int] = _UNSET,
+        *,
         registry: Optional[ScenarioRegistry] = None,
         cache_dir: Optional[str] = None,
         shard: Optional[Tuple[int, int]] = None,
-        *,
         runner: Optional[ExperimentRunner] = None,
         cache: Optional[ResultCache] = None,
     ) -> None:
-        # Warn only for explicit *non-default* plumbing values: passing
-        # backend="serial" / n_workers=None spells out the old defaults
-        # and deserves no deprecation noise.
-        explicit_backend = backend is not _UNSET and backend != "serial"
-        explicit_workers = n_workers is not _UNSET and n_workers is not None
-        backend = "serial" if backend is _UNSET else backend
-        n_workers = None if n_workers is _UNSET else n_workers
-        if runner is None and (explicit_backend or explicit_workers):
-            warnings.warn(
-                "ScenarioSuite(backend=..., n_workers=...) is deprecated; "
-                "pass runner=ExperimentRunner(...) or use "
-                "repro.api.Session, which owns the runner (results are "
-                "bit-identical either way)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         registry = registry or SCENARIOS
         if not scenarios:
             raise ValueError("a suite needs at least one scenario")
@@ -544,13 +513,20 @@ class ScenarioSuite:
             )
         if shard is not None:
             index, count = shard
-            if count < 1 or not 0 <= index < count:
+            if (
+                not all(
+                    isinstance(v, int) and not isinstance(v, bool)
+                    for v in (index, count)
+                )
+                or count < 1
+                or not 0 <= index < count
+            ):
                 raise ValueError(
-                    f"shard must be (index, count) with "
+                    f"shard must be (index, count) integers with "
                     f"0 <= index < count, got {shard!r}"
                 )
         self.scenarios = resolved
-        self.runner = runner or ExperimentRunner(backend, n_workers)
+        self.runner = runner or ExperimentRunner()
         if cache is not None:
             self.cache = cache
         else:
@@ -768,16 +744,7 @@ class ScenarioSuite:
                     total=len(pairs),
                 )
 
-        def stamp(position: int, result: ScenarioRunResult) -> None:
-            """Attach reproduction provenance (before any hook sees it)."""
-            result.provenance = provenance_for(
-                {"scenario": spec_dicts[position]},
-                pairs[position][1],
-                self.runner,
-                source="scenario_suite",
-                execution=execution,
-            )
-
+        results: List[Optional[ScenarioRunResult]] = [None] * len(pairs)
         errors_by_position: Dict[int, ScenarioFailure] = {}
 
         def deliver(
@@ -786,9 +753,10 @@ class ScenarioSuite:
             key: str,
             executed: bool,
         ) -> None:
-            """Stream one finished outcome: stamp it, checkpoint it
-            (cache + journal), feed every hook.  Failures are recorded
-            and isolated instead."""
+            """Stream one finished outcome: stamp its provenance (before
+            any hook sees it), slot it, checkpoint it (cache + journal),
+            feed every hook.  Failures are recorded and isolated
+            instead."""
             if isinstance(outcome, ScenarioFailure):
                 outcome.position = position
                 errors_by_position[position] = outcome
@@ -800,7 +768,14 @@ class ScenarioSuite:
                 )
                 _LOG.warning("%s (on_error=skip; continuing)", outcome)
                 return
-            stamp(position, outcome)
+            outcome.provenance = provenance_for(
+                {"scenario": spec_dicts[position]},
+                pairs[position][1],
+                self.runner,
+                source="scenario_suite",
+                execution=execution,
+            )
+            results[position] = outcome
             if executed and self.cache is not None:
                 self._store_in_cache(key, outcome)
             if journal is not None:
@@ -810,7 +785,6 @@ class ScenarioSuite:
             if on_result is not None:
                 on_result(outcome)
 
-        results: List[Optional[ScenarioRunResult]] = [None] * len(pairs)
         pending: List[Tuple[int, np.random.SeedSequence, str]] = []
         for position, (scenario, seq) in enumerate(pairs):
             if cancel is not None and cancel.is_set():
@@ -834,8 +808,12 @@ class ScenarioSuite:
                         "cache hit: scenario %s (key %.12s...)",
                         scenario.name, key,
                     )
-                    results[position] = self._result_from_cache(*hit)
-                    deliver(position, results[position], key, executed=False)
+                    deliver(
+                        position,
+                        self._result_from_cache(*hit),
+                        key,
+                        executed=False,
+                    )
                     continue
                 metric_inc("cache.miss")
                 _LOG.debug(
@@ -849,30 +827,18 @@ class ScenarioSuite:
                 if on_error == "raise"
                 else _execute_scenario_guarded
             )
-            unit_hook = None
+
             # Delivering as units complete (not after the whole map)
             # is what makes cache + journal real checkpoints: a crash
             # mid-suite keeps everything already finished.
-            if (
-                on_result is not None
-                or aggregators
-                or self.cache is not None
-                or journal is not None
-                or on_error == "skip"
-            ):
+            def unit_hook(
+                index: int,
+                outcome: "ScenarioRunResult | ScenarioFailure",
+            ) -> None:
+                position, _, key = pending[index]
+                deliver(position, outcome, key, executed=True)
 
-                def unit_hook(
-                    index: int,
-                    outcome: "ScenarioRunResult | ScenarioFailure",
-                ) -> None:
-                    deliver(
-                        pending[index][0],
-                        outcome,
-                        pending[index][2],
-                        executed=True,
-                    )
-
-            executed = self.runner.map(
+            self.runner.map(
                 worker,
                 [
                     (spec_dicts[position], seq, max_records_in_ram, batch_size)
@@ -881,13 +847,8 @@ class ScenarioSuite:
                 # repro: allow[PICKLE001] on_result runs in the coordinator process and is never pickled to workers
                 on_result=unit_hook,
                 cancel=cancel,
+                collect=False,
             )
-            for (position, _, key), outcome in zip(pending, executed):
-                if isinstance(outcome, ScenarioFailure):
-                    continue  # recorded by the hook
-                results[position] = outcome
-                if outcome.provenance is None:  # no hook stamped it
-                    stamp(position, outcome)
         if journal is not None:
             journal.finish()
         suite_aggregate = next(

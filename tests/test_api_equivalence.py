@@ -9,8 +9,6 @@ the ``scenario`` marker (run with ``-m scenario``), mirroring the
 pre-existing suite determinism tests.
 """
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -25,12 +23,10 @@ BACKENDS = ["serial", "thread", "process"]
 
 
 def legacy_suite(names, backend, seed):
-    """The pre-facade calling convention (deprecated but pinned)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return ScenarioSuite(names, backend=backend, n_workers=2).run(
-            seed=seed
-        )
+    """The pre-facade calling convention: a suite on an explicit runner."""
+    return ScenarioSuite(
+        names, runner=ExperimentRunner(backend, 2)
+    ).run(seed=seed)
 
 
 class TestSuiteEquivalence:
@@ -78,11 +74,9 @@ class TestSuiteEquivalence:
 class TestStudyEquivalence:
     def test_full_study_equals_legacy_from_scenario(self):
         scenario = SCENARIOS.get("smoke")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = DiversityStudy.from_scenario(
-                scenario, backend="serial"
-            ).execute(21)
+        legacy = DiversityStudy.from_scenario(
+            scenario, runner=ExperimentRunner("serial")
+        ).execute(21)
         facade = Session().full_study("smoke", seed=21)
         assert facade.measurement.records == legacy.measurement.records
         assert facade.design.n_runs == legacy.design.n_runs

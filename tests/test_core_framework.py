@@ -313,26 +313,6 @@ class TestStudyPipeline:
                 design_kind="magic",
             )
 
-    def test_unknown_backend_rejected_at_construction(self, catalog):
-        # A typo'd backend must fail when the study is built, not deep
-        # inside execute(); the message names the valid choices.
-        with pytest.raises(ValueError, match="serial.*thread.*process"):
-            DiversityStudy(
-                network_factory=scope_cooling_topology,
-                catalog=catalog,
-                threat=stuxnet_like(),
-                backend="proccess",
-            )
-
-    def test_bad_n_workers_rejected_at_construction(self, catalog):
-        with pytest.raises(ValueError, match="n_workers"):
-            DiversityStudy(
-                network_factory=scope_cooling_topology,
-                catalog=catalog,
-                threat=stuxnet_like(),
-                backend="thread",
-                n_workers=0,
-            )
 
 
 class TestReportHelpers:

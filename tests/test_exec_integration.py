@@ -214,8 +214,7 @@ class TestDiversityStudyBackendOption:
                 two_level=True,
                 replications=3,
                 campaign_config=FAST_CONFIG,
-                backend=backend,
-                n_workers=n_workers,
+                runner=ExperimentRunner(backend, n_workers),
             )
 
         serial = build("serial").execute(np.random.default_rng(42))

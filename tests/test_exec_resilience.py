@@ -37,6 +37,7 @@ from repro.exec.resilience import (
     ensure_remote_cause,
 )
 from repro.faults import FaultInjectionError, FaultPlan
+from repro.telemetry import Telemetry
 
 BACKENDS = ["serial", "thread", "process"]
 
@@ -223,6 +224,20 @@ class TestRetryExecution:
         )
         with pytest.raises(FaultInjectionError):
             runner.map(_identity, [(i,) for i in range(3)])
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_no_policy_fails_fast_on_transient_fault(self, backend):
+        # retry=None runs the one retry loop under LEGACY_POLICY: a
+        # single attempt, so an injected transient crash propagates.
+        runner = ExperimentRunner(
+            backend, n_workers=2, chunk_size=1,
+            fault_plan=FaultPlan(crash_units={1: 1}),
+        )
+        telemetry = Telemetry()
+        with telemetry.activate():
+            with pytest.raises(FaultInjectionError):
+                runner.map(_identity, [(i,) for i in range(3)])
+        assert telemetry.metrics.counter("retry.attempts") == 0.0
 
     def test_retried_records_match_fault_free_serial_reference(self):
         reference = ExperimentRunner("serial").run_replications(

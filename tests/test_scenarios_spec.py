@@ -8,6 +8,7 @@ import pytest
 from repro.attacks.campaign import CampaignConfig
 from repro.attacks.profiles import ThreatProfile
 from repro.core.study import DiversityStudy
+from repro.exec.runner import ExperimentRunner
 from repro.scada.components import ComponentKind
 from repro.scada.network import SCADANetwork
 from repro.scada.plant.feeder import PowerFeeder
@@ -177,11 +178,13 @@ class TestFromScenario:
 
     def test_execution_overrides_not_in_spec(self):
         scenario = get_scenario("smoke")
-        study = DiversityStudy.from_scenario(
-            scenario, backend="thread", n_workers=2
-        )
-        assert study.backend == "thread"
-        assert study.n_workers == 2
+        runner = ExperimentRunner("thread", 2)
+        study = DiversityStudy.from_scenario(scenario, runner=runner)
+        assert study.runner is runner
+        assert study.runner.backend_name == "thread"
+        assert study.runner.n_workers == 2
+        spec = scenario.to_dict()
+        assert not {"runner", "backend", "n_workers"} & set(spec)
 
     def test_scenario_is_immutable(self):
         scenario = get_scenario("smoke")

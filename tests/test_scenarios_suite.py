@@ -10,6 +10,8 @@ import dataclasses
 
 import pytest
 
+from repro.core.study import DiversityStudy
+from repro.exec.runner import ExperimentRunner
 from repro.scenarios import SCENARIOS, Scenario, ScenarioSuite, get_scenario
 from repro.scenarios.suite import _summarize
 
@@ -38,9 +40,17 @@ class TestSuiteConstruction:
         with pytest.raises(ValueError, match="duplicate"):
             ScenarioSuite(["smoke", SMOKE])
 
-    def test_unknown_backend_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            ScenarioSuite(["smoke"], backend="quantum")
+    def test_execution_is_configured_only_through_a_runner(self):
+        # Execution knobs passed by keyword or position must fail
+        # loudly, never bind to another parameter such as ``registry``.
+        with pytest.raises(TypeError):
+            ScenarioSuite(["smoke"], backend="thread")
+        with pytest.raises(TypeError):
+            ScenarioSuite(["smoke"], "thread")
+        with pytest.raises(TypeError):
+            DiversityStudy.from_scenario(SMOKE, "thread")
+        with pytest.raises(TypeError):
+            DiversityStudy.from_scenario(SMOKE, n_workers=2)
 
     def test_accepts_specs_and_names_mixed(self):
         suite = ScenarioSuite([SMOKE_GRID, "smoke"])
@@ -69,7 +79,7 @@ class TestSuiteRun:
 
     def test_thread_backend_bit_identical(self, serial_result):
         threaded = ScenarioSuite(
-            [SMOKE, SMOKE_GRID], backend="thread", n_workers=2
+            [SMOKE, SMOKE_GRID], runner=ExperimentRunner("thread", 2)
         ).run(seed=42)
         assert (
             threaded.records_by_scenario()
@@ -101,6 +111,60 @@ class TestSuiteRun:
                 assert target in factor_names, (response, target)
 
 
+class TestDeliveryEquivalence:
+    """Every way of consuming a suite run yields the same results.
+
+    Hooks, caching, journaling and failure isolation all ride on the
+    one per-unit delivery path; none may change records or provenance.
+    """
+
+    SEED = 1234
+
+    @staticmethod
+    def _digest(result):
+        return (
+            result.records_by_scenario(),
+            {
+                r.scenario.name: r.provenance.to_dict()
+                for r in result.results
+            },
+        )
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return self._digest(
+            ScenarioSuite([SMOKE, SMOKE_GRID]).run(seed=self.SEED)
+        )
+
+    def test_on_result(self, reference):
+        seen = []
+        result = ScenarioSuite([SMOKE, SMOKE_GRID]).run(
+            seed=self.SEED, on_result=lambda r: seen.append(r.scenario.name)
+        )
+        assert seen == ["smoke", "smoke_grid"]
+        assert self._digest(result) == reference
+
+    def test_cache_dir_cold_and_warm(self, tmp_path, reference):
+        for _ in range(2):
+            result = ScenarioSuite(
+                [SMOKE, SMOKE_GRID], cache_dir=str(tmp_path)
+            ).run(seed=self.SEED)
+            assert self._digest(result) == reference
+
+    def test_journal(self, tmp_path, reference):
+        result = ScenarioSuite([SMOKE, SMOKE_GRID]).run(
+            seed=self.SEED, journal=tmp_path / "run.journal"
+        )
+        assert self._digest(result) == reference
+
+    def test_on_error_skip(self, reference):
+        result = ScenarioSuite([SMOKE, SMOKE_GRID]).run(
+            seed=self.SEED, on_error="skip"
+        )
+        assert result.errors == []
+        assert self._digest(result) == reference
+
+
 class TestSummarize:
     def test_empty_records_all_nan(self):
         summary = _summarize([])
@@ -129,7 +193,7 @@ class TestFullBuiltinSuiteAcrossBackends:
         reference = None
         for backend in ("serial", "thread", "process"):
             result = ScenarioSuite(
-                names, backend=backend, n_workers=4
+                names, runner=ExperimentRunner(backend, 4)
             ).run(seed=2013)
             records = result.records_by_scenario()
             assert sorted(records) == names

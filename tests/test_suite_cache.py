@@ -9,6 +9,7 @@ import os
 
 import pytest
 
+from repro.exec.runner import ExperimentRunner
 from repro.scenarios.registry import SCENARIOS
 from repro.scenarios.spec import Scenario
 from repro.scenarios.suite import ScenarioSuite, SuiteResult
@@ -50,7 +51,7 @@ class TestCacheDeterminism:
         cache_dir = str(tmp_path)
         ScenarioSuite(NAMES, cache_dir=cache_dir).run(seed=SEED)  # fill
         result = ScenarioSuite(
-            NAMES, backend=backend, n_workers=2, cache_dir=cache_dir
+            NAMES, runner=ExperimentRunner(backend, 2), cache_dir=cache_dir
         ).run(seed=SEED)
         assert (
             result.records_by_scenario()
@@ -135,6 +136,12 @@ class TestSharding:
             ScenarioSuite(NAMES, shard=(2, 2))
         with pytest.raises(ValueError, match="shard"):
             ScenarioSuite(NAMES, shard=(0, 0))
+        with pytest.raises(ValueError, match="shard"):
+            ScenarioSuite(NAMES, shard=(0.0, 1))
+        with pytest.raises(ValueError, match="shard"):
+            ScenarioSuite(NAMES, shard=(0, 1.0))
+        with pytest.raises(ValueError, match="shard"):
+            ScenarioSuite(NAMES, shard=(False, True))
 
     def test_merge_rejects_duplicates(self, reference):
         with pytest.raises(ValueError, match="duplicate"):
