@@ -13,15 +13,15 @@ assumption:
   branch; k-of-n: k-th smallest child time.
 
 Monte-Carlo evaluation samples leaf outcomes and durations jointly,
-giving the full distribution of goal success and time — used when the
-closed forms' independence assumptions need checking.
+vectorized over replications, giving the full distribution of goal
+success and time — used when the closed forms' independence
+assumptions need checking.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from repro.attacktree.nodes import (
     SandNode,
 )
 from repro.attacktree.tree import AttackTree
+from repro.exec.runner import validate_batch_args
 from repro.stats.ci import ConfidenceInterval, proportion_ci
 
 
@@ -114,46 +115,51 @@ def monte_carlo(
     evaluates the gates: a SAND node's time is the sum of its children's,
     an AND node's the max, an OR node's the minimum among *successful*
     children, a k-of-n node's the k-th order statistic among successful
-    children.
+    children.  A failed OR or k-of-n node takes the maximum of all its
+    children's times.
+
+    The tree is evaluated node by node over all replications at once:
+    each leaf draws its ``replications`` durations with
+    :meth:`~repro.stats.distributions.Distribution.sample_many`, and
+    each gate is a NumPy reduction over its children.  A leaf reached
+    through several parents is sampled independently per occurrence.
+
+    Since 2.1.0 the same ``rng`` yields a different stream than the
+    earlier one-replication-at-a-time sampler; the distribution of the
+    results is unchanged.
 
     Returns:
         ``(success_ci, success_times)`` — Wilson CI for goal success and
-        the goal completion times of the successful replications.
+        the goal completion times of the successful replications, in
+        replication order.
 
     Raises:
+        TypeError: If ``replications`` is not an integer.
         ValueError: If ``replications < 1``.
     """
-    if replications < 1:
-        raise ValueError(f"replications must be >= 1, got {replications}")
-    successes = 0
-    times: List[float] = []
-    for _ in range(replications):
-        ok, t = _sample_node(tree.root, rng)
-        if ok:
-            successes += 1
-            times.append(t)
-    return proportion_ci(successes, replications), times
+    validate_batch_args(replications)
+    ok, times = _sample_node(tree.root, rng, replications)
+    return proportion_ci(int(ok.sum()), replications), times[ok].tolist()
 
 
-def _sample_node(node: Node, rng: np.random.Generator) -> Tuple[bool, float]:
+def _sample_node(
+    node: Node, rng: np.random.Generator, size: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Success flags and completion times of ``node``, one per replication."""
     if isinstance(node, LeafAttack):
-        duration = node.time.sample(rng)
-        return bool(rng.random() < node.probability), duration
-    outcomes = [_sample_node(c, rng) for c in node.children()]
+        durations = np.asarray(node.time.sample_many(rng, size), dtype=float)
+        return rng.random(size) < node.probability, durations
+    samples = [_sample_node(child, rng, size) for child in node.children()]
+    ok = np.array([flags for flags, _ in samples])
+    times = np.array([durations for _, durations in samples])
     if isinstance(node, AndNode):
-        ok = all(o for o, _ in outcomes)
-        return ok, max(t for _, t in outcomes)
+        return ok.all(axis=0), times.max(axis=0)
     if isinstance(node, SandNode):
-        ok = all(o for o, _ in outcomes)
-        return ok, sum(t for _, t in outcomes)
-    if isinstance(node, OrNode):
-        winners = [t for ok, t in outcomes if ok]
-        if winners:
-            return True, min(winners)
-        return False, max(t for _, t in outcomes)
-    if isinstance(node, KofNNode):
-        winners = sorted(t for ok, t in outcomes if ok)
-        if len(winners) >= node.k:
-            return True, winners[node.k - 1]
-        return False, max(t for _, t in outcomes)
+        return ok.all(axis=0), times.sum(axis=0)
+    if isinstance(node, (OrNode, KofNNode)):
+        # An OR gate is a 1-of-n gate.
+        k = node.k if isinstance(node, KofNNode) else 1
+        success = ok.sum(axis=0) >= k
+        kth_winner = np.sort(np.where(ok, times, np.inf), axis=0)[k - 1]
+        return success, np.where(success, kth_winner, times.max(axis=0))
     raise TypeError(f"unknown node type {type(node).__name__}")

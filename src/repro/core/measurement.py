@@ -21,7 +21,12 @@ from repro.diversity.catalog import VariantCatalog
 from repro.diversity.config import configuration_from_run
 from repro.doe.design import Design, Run
 from repro.exec.runner import ExperimentRunner
-from repro.exec.seeding import SeedLike, as_seed_sequence, spawn_sequences
+from repro.exec.seeding import (
+    SeedLike,
+    as_seed_sequence,
+    spawn_sequences,
+    spawned_children,
+)
 from repro.results import (
     Provenance,
     RecordTable,
@@ -200,11 +205,13 @@ class MeasurementPlan:
         """Execute one design run with spawn-per-replication seeding.
 
         This is the parallel work unit: every replication draws from its
-        own generator (the ``i``-th spawn of ``seq``), so the run's
+        own generator (the ``i``-th child of ``seq``), so the run's
         records depend only on ``(seq, run_index)`` — not on which
-        worker, backend or chunk executed it.  The run's records come
-        back as one compact :class:`~repro.results.RecordTable` (column
-        buffers, not a pickled dict list) plus its indicator set.
+        worker, backend or chunk executed it, nor on how often it ran:
+        the children are derived without advancing ``seq``, so a
+        retried unit re-runs with its original seeds.  The run's records
+        come back as one compact :class:`~repro.results.RecordTable`
+        (column buffers, not a pickled dict list) plus its indicator set.
         """
         with trace("measurement.run"):
             campaign = self.campaign_for_run(run_index)
@@ -213,7 +220,7 @@ class MeasurementPlan:
             else:
                 outcomes = [
                     campaign.run(np.random.default_rng(child))
-                    for child in seq.spawn(self.replications)
+                    for child in spawned_children(seq, self.replications)
                 ]
             table = self._table_for_run(
                 self.design.runs[run_index], run_index, outcomes
@@ -225,8 +232,8 @@ class MeasurementPlan:
     ) -> List[AttackOutcome]:
         """One run's replications through the mega-batch lowering.
 
-        Unit seeds spawn from ``seq`` exactly like the scalar path's
-        per-replication spawns, so ``batch_size=1`` reproduces the
+        Unit seeds are children of ``seq`` exactly like the scalar
+        path's per-replication seeds, so ``batch_size=1`` reproduces the
         scalar records bit-for-bit.
         """
         from repro.attacks.batched import CampaignBatchEngine
@@ -235,7 +242,7 @@ class MeasurementPlan:
         engine = CampaignBatchEngine(campaign)
         sizes = batch_unit_sizes(self.replications, self.batch_size)
         outcomes: List[AttackOutcome] = []
-        for child, size in zip(seq.spawn(len(sizes)), sizes):
+        for child, size in zip(spawned_children(seq, len(sizes)), sizes):
             outcomes.extend(
                 engine.run_outcomes(size, np.random.default_rng(child))
             )

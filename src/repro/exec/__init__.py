@@ -3,7 +3,8 @@
 The subsystem has three layers:
 
 * :mod:`repro.exec.seeding` — central ``SeedSequence.spawn`` discipline
-  that makes randomness a pure function of ``(root seed, unit index)``;
+  that makes randomness a pure function of ``(root seed, unit index)``,
+  with a vectorized kernel that derives many children's seeds at once;
 * :mod:`repro.exec.backends` — ``serial`` / ``thread`` / ``process``
   execution strategies with order-preserving result collection;
 * :mod:`repro.exec.runner` — :class:`ExperimentRunner`, the façade the
@@ -43,10 +44,13 @@ from repro.exec.runner import (
 )
 from repro.exec.seeding import (
     SeedLike,
+    SpawnedSeedSequence,
     as_seed_sequence,
     replication_generators,
     sequence_state,
     spawn_sequences,
+    spawned_children,
+    spawned_words,
 )
 
 __all__ = [
@@ -61,6 +65,7 @@ __all__ = [
     "RetryPolicy",
     "SeedLike",
     "SerialBackend",
+    "SpawnedSeedSequence",
     "ThreadBackend",
     "TransientWorkerError",
     "WorkUnit",
@@ -72,4 +77,6 @@ __all__ = [
     "replication_generators",
     "sequence_state",
     "spawn_sequences",
+    "spawned_children",
+    "spawned_words",
 ]

@@ -24,20 +24,50 @@ from repro.exec.backends import (
     get_backend,
 )
 from repro.exec.resilience import RetryPolicy
-from repro.exec.seeding import SeedLike, as_seed_sequence, spawn_sequences
+from repro.exec.seeding import (
+    SeedLike,
+    SpawnedSeedSequence,
+    as_seed_sequence,
+    spawned_words,
+)
 from repro.telemetry.core import current as _current_telemetry
 
 _LOG = logging.getLogger(__name__)
 
 
 def _call_with_generator(
-    fn: Callable[..., Any], seq: np.random.SeedSequence, args: Tuple[Any, ...]
+    fn: Callable[..., Any],
+    root: np.random.SeedSequence,
+    index: int,
+    words: Sequence[int],
+    args: Tuple[Any, ...],
 ) -> Any:
     """Build the unit's generator worker-side and invoke ``fn``.
 
+    The generator is seeded from child ``index`` of ``root`` (whose
+    ``PCG64`` seed words the coordinator precomputed).  Every call
+    builds a fresh child, so a retried unit — even one whose body
+    called ``rng.spawn()`` — re-runs with its original seeds.
+
     Module-level so the ``process`` backend can pickle it.
     """
-    return fn(*args, np.random.default_rng(seq))
+    return fn(
+        *args, np.random.default_rng(SpawnedSeedSequence(root, index, words))
+    )
+
+
+def _replication_units(
+    fn: Callable[..., Any],
+    seed: SeedLike,
+    unit_args: Sequence[Tuple[Any, ...]],
+) -> List[Tuple[Any, ...]]:
+    """``map`` arguments giving unit ``i`` child ``i`` of the root seed."""
+    root = as_seed_sequence(seed)
+    words = spawned_words(root, len(unit_args)).tolist()
+    return [
+        (fn, root, index, unit_words, args)
+        for index, (unit_words, args) in enumerate(zip(words, unit_args))
+    ]
 
 
 def validate_batch_args(
@@ -253,12 +283,13 @@ class ExperimentRunner:
                 streaming knobs — see :meth:`map`.
 
         Raises:
+            TypeError: If ``replications`` is not an integer.
             ValueError: If ``replications < 1``.
         """
-        sequences = spawn_sequences(as_seed_sequence(seed), replications)
+        validate_batch_args(replications)
         return self.map(
             _call_with_generator,
-            [(fn, seq, common_args) for seq in sequences],
+            _replication_units(fn, seed, [common_args] * replications),
             on_result=on_result,
             cancel=cancel,
             collect=collect,
@@ -299,13 +330,11 @@ class ExperimentRunner:
         """
         validate_batch_args(replications, batch_size)
         sizes = batch_unit_sizes(replications, batch_size)
-        sequences = spawn_sequences(as_seed_sequence(seed), len(sizes))
         return self.map(
             _call_with_generator,
-            [
-                (fn, seq, (*common_args, size))
-                for size, seq in zip(sizes, sequences)
-            ],
+            _replication_units(
+                fn, seed, [(*common_args, size) for size in sizes]
+            ),
             on_result=on_result,
             cancel=cancel,
             collect=collect,

@@ -1,9 +1,11 @@
 """Tests for attack trees."""
 
+import math
+
 import numpy as np
 import pytest
 
-from repro.attacktree.analysis import evaluate, monte_carlo
+from repro.attacktree.analysis import _sample_node, evaluate, monte_carlo
 from repro.attacktree.cutsets import minimal_cut_sets
 from repro.attacktree.nodes import (
     AndNode,
@@ -13,7 +15,13 @@ from repro.attacktree.nodes import (
     SandNode,
 )
 from repro.attacktree.tree import AttackTree
-from repro.stats.distributions import Deterministic, Exponential
+from repro.stats.distributions import (
+    Deterministic,
+    Distribution,
+    Exponential,
+    Uniform,
+    Weibull,
+)
 
 
 def leaf(name, p, cost=1.0, t=0.0):
@@ -162,6 +170,219 @@ class TestMonteCarlo:
         ci, __ = monte_carlo(tree, 4000, np.random.default_rng(9))
         assert abs(ci.estimate - 11 / 16) < 0.05
 
+
+    @pytest.mark.parametrize("bad", [True, 2.0, "3", None])
+    def test_non_integer_replications_rejected(self, bad):
+        tree = AttackTree(leaf("a", 0.5))
+        with pytest.raises(TypeError, match="replications"):
+            monte_carlo(tree, bad, np.random.default_rng(1))
+
+    def test_negative_replications_named(self):
+        tree = AttackTree(leaf("a", 0.5))
+        with pytest.raises(ValueError, match="replications"):
+            monte_carlo(tree, -3, np.random.default_rng(1))
+
+    def test_numpy_integer_replications_accepted(self):
+        tree = AttackTree(leaf("a", 1.0, t=2.0))
+        ci, times = monte_carlo(tree, np.int64(5), np.random.default_rng(1))
+        assert ci.estimate == 1.0 and times == [2.0] * 5
+
+
+def _gate_sample(node, size=3):
+    """One gate's (success, time) over ``size`` replications."""
+    ok, times = _sample_node(node, np.random.default_rng(0), size)
+    assert ok.shape == times.shape == (size,)
+    assert len(set(ok.tolist())) == 1 and len(set(times.tolist())) == 1
+    return bool(ok[0]), float(times[0])
+
+
+class TestGateTimeRules:
+    """Deterministic leaves (p in {0, 1}) pin each gate's time rule."""
+
+    def test_leaf(self):
+        assert _gate_sample(leaf("a", 1.0, t=2.5)) == (True, 2.5)
+        assert _gate_sample(leaf("a", 0.0, t=2.5)) == (False, 2.5)
+
+    def test_and_takes_max(self):
+        node = AndNode("g", [leaf("a", 1.0, t=1.0), leaf("b", 1.0, t=4.0)])
+        assert _gate_sample(node) == (True, 4.0)
+
+    def test_and_with_a_failed_child_fails_at_max(self):
+        node = AndNode("g", [leaf("a", 0.0, t=1.0), leaf("b", 1.0, t=4.0)])
+        assert _gate_sample(node) == (False, 4.0)
+
+    def test_sand_sums(self):
+        node = SandNode(
+            "g",
+            [
+                leaf("a", 1.0, t=1.0),
+                leaf("b", 1.0, t=2.0),
+                leaf("c", 1.0, t=4.0),
+            ],
+        )
+        assert _gate_sample(node) == (True, 7.0)
+
+    def test_sand_with_a_failed_child_fails_at_sum(self):
+        node = SandNode("g", [leaf("a", 1.0, t=1.0), leaf("b", 0.0, t=2.0)])
+        assert _gate_sample(node) == (False, 3.0)
+
+    def test_or_takes_fastest_successful_child(self):
+        # The fastest child (t=1) failed, so the OR completes at t=2.
+        node = OrNode(
+            "g",
+            [
+                leaf("a", 0.0, t=1.0),
+                leaf("b", 1.0, t=4.0),
+                leaf("c", 1.0, t=2.0),
+            ],
+        )
+        assert _gate_sample(node) == (True, 2.0)
+
+    def test_or_with_all_children_failed_takes_max(self):
+        node = OrNode(
+            "g",
+            [
+                leaf("a", 0.0, t=1.0),
+                leaf("b", 0.0, t=4.0),
+                leaf("c", 0.0, t=2.0),
+            ],
+        )
+        assert _gate_sample(node) == (False, 4.0)
+
+    def test_kofn_takes_kth_successful_time(self):
+        children = [
+            leaf("a", 1.0, t=5.0),
+            leaf("b", 0.0, t=1.0),
+            leaf("c", 1.0, t=3.0),
+            leaf("d", 1.0, t=4.0),
+        ]
+        assert _gate_sample(KofNNode("g", children, k=2)) == (True, 4.0)
+        assert _gate_sample(KofNNode("g", children, k=3)) == (True, 5.0)
+
+    def test_kofn_short_of_k_successes_takes_max(self):
+        children = [
+            leaf("a", 1.0, t=5.0),
+            leaf("b", 0.0, t=6.0),
+            leaf("c", 1.0, t=3.0),
+        ]
+        assert _gate_sample(KofNNode("g", children, k=3)) == (False, 6.0)
+
+    def test_kofn_with_all_children_failed_takes_max(self):
+        children = [leaf("a", 0.0, t=5.0), leaf("b", 0.0, t=6.0)]
+        assert _gate_sample(KofNNode("g", children, k=1)) == (False, 6.0)
+
+    def test_nested_failed_branch_feeds_parent_max(self):
+        # SAND(OR(all fail: max 4), 1): fails at 4 + 1.
+        inner = OrNode("or", [leaf("a", 0.0, t=1.0), leaf("b", 0.0, t=4.0)])
+        node = SandNode("g", [inner, leaf("c", 1.0, t=1.0)])
+        assert _gate_sample(node) == (False, 5.0)
+
+    def test_monte_carlo_returns_success_times_in_order(self):
+        tree = AttackTree(
+            OrNode("g", [leaf("a", 0.0, t=1.0), leaf("b", 1.0, t=3.0)])
+        )
+        ci, times = monte_carlo(tree, 4, np.random.default_rng(0))
+        assert ci.estimate == 1.0
+        assert times == [3.0] * 4 and all(type(t) is float for t in times)
+
+
+# ---- agreement with the one-replication-at-a-time sampler -------------------
+
+
+def _recursive_sample(node, rng):
+    """The pre-2.1 scalar sampler, kept here as the reference."""
+    if isinstance(node, LeafAttack):
+        duration = node.time.sample(rng)
+        return bool(rng.random() < node.probability), duration
+    outcomes = [_recursive_sample(c, rng) for c in node.children()]
+    if isinstance(node, AndNode):
+        return all(o for o, _ in outcomes), max(t for _, t in outcomes)
+    if isinstance(node, SandNode):
+        return all(o for o, _ in outcomes), sum(t for _, t in outcomes)
+    if isinstance(node, OrNode):
+        winners = [t for ok, t in outcomes if ok]
+        if winners:
+            return True, min(winners)
+        return False, max(t for _, t in outcomes)
+    winners = sorted(t for ok, t in outcomes if ok)
+    if len(winners) >= node.k:
+        return True, winners[node.k - 1]
+    return False, max(t for _, t in outcomes)
+
+
+def _recursive_monte_carlo(tree, replications, rng):
+    samples = [_recursive_sample(tree.root, rng) for _ in range(replications)]
+    return [t for ok, t in samples if ok]
+
+
+def _paper_tree(name):
+    from repro.core.modeling import attack_tree_for
+    from repro.scenarios import get_scenario
+
+    scenario = get_scenario(name)
+    return attack_tree_for(
+        scenario.build_network(),
+        scenario.build_catalog(),
+        scenario.build_threat(),
+    )
+
+
+PAPER_TREES = ("cooling_stuxnet", "smart_grid_stuxnet")
+
+
+class TestAgreementWithRecursiveSampler:
+    N = 20_000
+
+    @pytest.mark.parametrize("name", PAPER_TREES)
+    def test_success_proportion_and_time_distribution_agree(self, name):
+        from scipy.stats import ks_2samp
+
+        tree = _paper_tree(name)
+        ci, times = monte_carlo(tree, self.N, np.random.default_rng(101))
+        reference = _recursive_monte_carlo(
+            tree, self.N, np.random.default_rng(202)
+        )
+        p_new, p_old = len(times) / self.N, len(reference) / self.N
+        pooled = (len(times) + len(reference)) / (2 * self.N)
+        se = math.sqrt(2 * pooled * (1 - pooled) / self.N)
+        assert 0.0 < pooled < 1.0
+        assert abs(p_new - p_old) < 4.0 * se
+        assert ci.estimate == p_new
+        assert ks_2samp(times, reference).pvalue > 1e-3
+        analytic = evaluate(tree).probability
+        assert ci.low <= analytic <= ci.high
+
+
+class TestNoScalarSampling:
+    def test_monte_carlo_never_calls_distribution_sample(self, monkeypatch):
+        calls = []
+
+        def counting_sample(self, rng):
+            calls.append(type(self).__name__)
+            raise AssertionError("scalar Distribution.sample called")
+
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        for cls in [Distribution, *subclasses(Distribution)]:
+            monkeypatch.setattr(cls, "sample", counting_sample)
+        mixed = AttackTree(
+            KofNNode(
+                "root",
+                [
+                    LeafAttack("e", 0.7, time=Exponential(0.5)),
+                    LeafAttack("u", 0.6, time=Uniform(1.0, 2.0)),
+                    LeafAttack("w", 0.5, time=Weibull(0.8, 2.0)),
+                    LeafAttack("d", 0.9, time=Deterministic(1.5)),
+                ],
+                k=2,
+            )
+        )
+        for tree in [mixed, *(_paper_tree(name) for name in PAPER_TREES)]:
+            monte_carlo(tree, 500, np.random.default_rng(3))
+        assert calls == []
 
 class TestCutSets:
     def test_single_and(self):

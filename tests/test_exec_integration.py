@@ -22,9 +22,11 @@ from repro import (
     stuxnet_like,
 )
 from repro.doe.design import Factor
+from repro.exec import RetryPolicy, TransientWorkerError
 from repro.doe.factorial import full_factorial
 from repro.san.builder import SANBuilder
 from repro.san.simulator import SANSimulator
+from repro.scenarios import get_scenario
 from repro.scada.components import ComponentKind
 
 FAST_CONFIG = CampaignConfig(horizon=20.0, tick_interval=0.5)
@@ -171,6 +173,83 @@ class TestMeasurementPlanDeterminism:
         result = _small_plan().execute(np.random.default_rng(1))
         assert len(result.records) == 4 * 3
         assert result.replications == 3
+
+
+def _smoke_plan(plan_class=MeasurementPlan, batch_size=None):
+    study = DiversityStudy.from_scenario(get_scenario("smoke"))
+    return plan_class(
+        study.network_factory,
+        study.catalog,
+        study.threat,
+        study.build_design(study.build_factors()),
+        replications=study.replications,
+        campaign_config=study.campaign_config,
+        batch_size=batch_size,
+    )
+
+
+def _rows(table):
+    return [
+        {key: _nan_safe(value) for key, value in row.items()}
+        for row in table.to_dicts()
+    ]
+
+
+class _FailsOnceAfterSeeding(MeasurementPlan):
+    """Each design run raises a transient error once, after its
+    replications were seeded and run."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.failed_runs = set()
+
+    def _table_for_run(self, run, run_index, outcomes):
+        if run_index not in self.failed_runs:
+            self.failed_runs.add(run_index)
+            raise TransientWorkerError("transient failure after seeding")
+        return super()._table_for_run(run, run_index, outcomes)
+
+
+class TestMeasurementUnitRerun:
+    """A re-run unit draws its original seeds (retries, degradation)."""
+
+    @pytest.mark.parametrize("batch_size", [None, 1])
+    def test_same_sequence_object_twice_gives_equal_tables(self, batch_size):
+        plan = _smoke_plan(batch_size=batch_size)
+        seq = np.random.SeedSequence(5, spawn_key=(0,))
+        first, _ = plan.execute_run(0, seq)
+        second, _ = plan.execute_run(0, seq)
+        assert _rows(second) == _rows(first)
+
+    def test_first_attempt_matches_spawned_children(self):
+        plan = _smoke_plan()
+        campaign = plan.campaign_for_run(0)
+        outcomes = [
+            campaign.run(np.random.default_rng(child))
+            for child in np.random.SeedSequence(5, spawn_key=(0,)).spawn(
+                plan.replications
+            )
+        ]
+        expected = plan._table_for_run(plan.design.runs[0], 0, outcomes)
+        table, _ = plan.execute_run(
+            0, np.random.SeedSequence(5, spawn_key=(0,))
+        )
+        assert _rows(table) == _rows(expected)
+
+    def test_serial_retry_after_seeding_reproduces_records(self):
+        clean = _smoke_plan().execute(rng=5, runner=ExperimentRunner("serial"))
+        flaky = _smoke_plan(_FailsOnceAfterSeeding)
+        retried = flaky.execute(
+            rng=5,
+            runner=ExperimentRunner(
+                "serial",
+                retry=RetryPolicy(
+                    max_attempts=2, base_delay_s=0.0, jitter=0.0
+                ),
+            ),
+        )
+        assert flaky.failed_runs == set(range(len(flaky.design.runs)))
+        assert _rows(retried.table) == _rows(clean.table)
 
 
 class TestSANBatchDeterminism:
