@@ -56,8 +56,9 @@ python -m pytest benchmarks/test_bench_e*.py benchmarks/test_bench_abl_*.py \
 
 echo
 echo "== static analysis lint gate =="
-# New findings fail; legacy shared-generator findings live in the
-# committed baseline (python -m repro.analysis --update-baseline).
+# New findings and stale baseline entries fail; the legacy
+# shared-generator finding lives in the committed baseline
+# (python -m repro.analysis --update-baseline).
 python -m repro.analysis --baseline analysis-baseline.json src examples
 
 echo

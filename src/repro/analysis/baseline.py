@@ -13,8 +13,8 @@ Workflow:
   findings (atomically, sorted, stable diffs) and **ages out** stale
   entries — fixed findings disappear from the file instead of
   lingering as dead weight.
-* The gate reports stale entries so a shrinking baseline is visible in
-  CI output.
+* The gate fails on stale entries, so a fixed finding's entry cannot
+  linger in the file.
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 Exit codes:
 
 * ``0`` — clean (every finding baselined or suppressed).
-* ``1`` — new findings (not in the baseline).
+* ``1`` — new findings (not in the baseline), or stale baseline entries
+  (fixed findings; run ``--update-baseline`` to age them out).
 * ``2`` — usage / configuration error (unreadable baseline, no paths).
 
 Typical runs::
@@ -100,7 +101,7 @@ def _print_text(
     print(summary, file=out)
     if stale:
         print(
-            f"note: {len(stale)} baseline entr"
+            f"error: {len(stale)} baseline entr"
             f"{'y is' if len(stale) == 1 else 'ies are'} stale (fixed) — "
             "run --update-baseline to age them out:",
             file=out,
@@ -182,11 +183,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 2
 
     new, baselined, stale = baseline.apply(report.findings)
+    # Only an entry for a file this run scanned can be stale.
+    stale = [entry for entry in stale if entry.path in report.scanned]
     if args.format == "json":
         _print_json(report, new, baselined, stale, out)
     else:
         _print_text(report, new, baselined, stale, out)
-    return 1 if new else 0
+    return 1 if new or stale else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -46,17 +46,21 @@ class AnalysisReport:
         findings: Unsuppressed findings, fingerprinted and sorted.
         suppressed: ``(finding, reason)`` pairs silenced by inline
             allows.
-        files_scanned: How many files rules actually ran on.
+        scanned: Paths (as on findings) of the files rules ran on.
     """
 
     findings: List[Finding] = field(default_factory=list)
     suppressed: List[Tuple[Finding, str]] = field(default_factory=list)
-    files_scanned: int = 0
+    scanned: List[str] = field(default_factory=list)
+
+    @property
+    def files_scanned(self) -> int:
+        return len(self.scanned)
 
     def extend(self, other: "AnalysisReport") -> None:
         self.findings.extend(other.findings)
         self.suppressed.extend(other.suppressed)
-        self.files_scanned += other.files_scanned
+        self.scanned.extend(other.scanned)
 
     def finalize(self) -> "AnalysisReport":
         self.findings = sort_findings(self.findings)
@@ -140,7 +144,7 @@ def analyze_source(
     report = AnalysisReport(
         findings=fingerprint_findings(kept, lines),
         suppressed=suppressed,
-        files_scanned=1,
+        scanned=[path],
     )
     return report.finalize()
 
@@ -164,7 +168,7 @@ def _analyze_file(path: Path, root: Optional[Path]) -> AnalysisReport:
                     message=f"cannot read file: {exc}",
                 )
             ],
-            files_scanned=1,
+            scanned=[rel],
         )
     if path.suffix == ".py":
         return analyze_source(text, rel, kind="python")

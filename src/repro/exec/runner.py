@@ -75,10 +75,6 @@ def validate_batch_args(
 ) -> None:
     """Shared argument validation for every batched entry point.
 
-    ``SANSimulator.batch``, ``AttackCampaign.run_batch*`` and
-    :meth:`ExperimentRunner.run_batched_replications` all funnel through
-    this so their error messages stay consistent.
-
     Raises:
         TypeError: If ``replications`` or ``batch_size`` is not an
             integer (bools are rejected too).

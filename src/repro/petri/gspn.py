@@ -30,6 +30,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.exec import SeedLike, replication_generators, validate_batch_args
 from repro.petri.net import Marking, PetriNet, Transition
 from repro.stats.choice import WeightCdfCache, choice_cdf
 from repro.stats.ci import ConfidenceInterval, mean_ci, proportion_ci
@@ -503,20 +504,23 @@ class GSPN:
         self,
         horizon: float,
         replications: int,
-        rng: np.random.Generator,
+        rng: SeedLike,
         stop: Optional[Callable[[Marking], bool]] = None,
     ) -> GSPNResult:
         """Monte-Carlo transient analysis over independent replications.
 
+        Replication ``i`` draws from child ``i`` of the root seed derived
+        from ``rng`` (see :func:`repro.exec.replication_generators`).
+
         Raises:
+            TypeError: If ``replications`` is not an integer.
             ValueError: If ``replications < 1``.
         """
-        if replications < 1:
-            raise ValueError(f"replications must be >= 1, got {replications}")
+        validate_batch_args(replications)
         finals: List[Marking] = []
         times: List[float] = []
-        for _ in range(replications):
-            final, stop_time, _ = self.simulate(horizon, rng, stop=stop)
+        for generator in replication_generators(rng, replications):
+            final, stop_time, _ = self.simulate(horizon, generator, stop=stop)
             finals.append(final)
             times.append(stop_time)
         return GSPNResult(finals, times, horizon)

@@ -16,13 +16,12 @@ measured against each DoE configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
-import numpy as np
-
+from repro.exec import SeedLike, replication_generators, validate_batch_args
 from repro.san.model import SANMarking, SANModel
-from repro.san.simulator import SANSimulator, SimulationRun
+from repro.san.simulator import SANSimulator
 from repro.stats.ci import ConfidenceInterval, mean_ci, proportion_ci
 
 
@@ -77,7 +76,10 @@ class MonteCarloEstimate:
 
 
 class RewardEstimator:
-    """Estimates reward variables over independent SAN replications."""
+    """Estimates reward variables over independent SAN replications.
+
+    Reward names must be unique; a duplicate raises ``ValueError``.
+    """
 
     def __init__(
         self,
@@ -88,17 +90,25 @@ class RewardEstimator:
         self.model = model
         self.rate_rewards = list(rate_rewards)
         self.impulse_rewards = list(impulse_rewards)
+        seen = set()
+        for r in (*self.rate_rewards, *self.impulse_rewards):
+            if r.name in seen:
+                raise ValueError(f"duplicate reward name {r.name!r}")
+            seen.add(r.name)
         self._simulator = SANSimulator(model)
 
     def estimate(
         self,
         horizon: float,
         replications: int,
-        rng: np.random.Generator,
+        rng: SeedLike,
         stop: Optional[Callable[[SANMarking], bool]] = None,
         time_averaged: bool = False,
     ) -> Dict[str, MonteCarloEstimate]:
         """Run the batch and accumulate all rewards.
+
+        Replication ``i`` draws from child ``i`` of the root seed derived
+        from ``rng`` — the streams :meth:`SANSimulator.batch` uses.
 
         Rate rewards are integrated over time by observing the marking
         between completions (the marking is piecewise constant, so the
@@ -109,25 +119,20 @@ class RewardEstimator:
             ``{reward_name: MonteCarloEstimate}``.
 
         Raises:
+            TypeError: If ``replications`` is not an integer.
             ValueError: If ``replications < 1``.
         """
-        if replications < 1:
-            raise ValueError(f"replications must be >= 1, got {replications}")
-
+        validate_batch_args(replications)
         samples: Dict[str, List[float]] = {
-            r.name: [] for r in self.rate_rewards
+            r.name: [] for r in (*self.rate_rewards, *self.impulse_rewards)
         }
-        for r in self.impulse_rewards:
-            samples.setdefault(r.name, [])
 
-        for _ in range(replications):
+        for generator in replication_generators(rng, replications):
             accumulated = {r.name: 0.0 for r in self.rate_rewards}
             impulses = {r.name: 0.0 for r in self.impulse_rewards}
             last_time = 0.0
-            marking_box: List[SANMarking] = [self.model.initial_marking()]
-            current_rates = {
-                r.name: r.rate(marking_box[0]) for r in self.rate_rewards
-            }
+            initial = self.model.initial_marking()
+            current_rates = {r.name: r.rate(initial) for r in self.rate_rewards}
 
             def hook(
                 time: float, activity: str, label: str, marking: SANMarking
@@ -141,10 +146,9 @@ class RewardEstimator:
                     if r.activity == activity:
                         impulses[r.name] += r.value
                 last_time = time
-                marking_box[0] = marking
 
             run = self._simulator.simulate(
-                horizon, rng, stop=stop, on_completion=hook
+                horizon, generator, stop=stop, on_completion=hook
             )
             # Close the final interval up to the run end.
             dt = run.end_time - last_time

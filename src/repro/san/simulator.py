@@ -417,14 +417,11 @@ class SANSimulator:
     ) -> List[SimulationRun]:
         """Run ``replications`` independent replications.
 
-        Execution modes mirror
-        :meth:`repro.attacks.campaign.AttackCampaign.run_batch`: passing
-        a :class:`numpy.random.Generator` without a ``runner`` keeps the
-        historical sequential shared-generator streams; passing a
-        ``runner`` (or a plain seed) spawns one independent stream per
-        replication so every backend returns identical runs.  The
-        ``process`` backend additionally requires the model and ``stop``
-        predicate to be picklable (no lambdas).
+        Replication ``i`` draws from child ``i`` of the root seed derived
+        from ``rng`` (a ``Generator`` is advanced by one draw), so every
+        ``runner`` backend returns identical runs; without a runner they
+        run serially.  The ``process`` backend also needs a picklable
+        model and ``stop`` predicate (no lambdas).
 
         With ``batch_size=k`` the replications run on the vectorized
         structure-of-arrays engine (:mod:`repro.san.batched`) as
@@ -444,20 +441,14 @@ class SANSimulator:
         from repro.exec import ExperimentRunner, validate_batch_args
 
         validate_batch_args(replications, batch_size)
+        active = runner or ExperimentRunner()
         if batch_size is None:
-            if runner is None and isinstance(rng, np.random.Generator):
-                return [
-                    self.simulate(horizon, rng, stop=stop)
-                    for _ in range(replications)
-                ]
-            active = runner or ExperimentRunner()
             return active.run_replications(
                 self._replicate,
                 replications,
                 seed=rng,
                 common_args=(horizon, stop),
             )
-        active = runner or ExperimentRunner()
         batches = active.run_batched_replications(
             self._batch_unit,
             replications,

@@ -124,17 +124,6 @@ class ScenarioRunResult(TableRecordsMixin):
     telemetry: Optional[TelemetrySnapshot] = None
 
 
-def _summarize(
-    records: "RecordTable | Sequence[Mapping[str, object]]",
-) -> Dict[str, float]:
-    """Scalar comparison metrics over long-format records.
-
-    Thin alias of :func:`repro.results.summarize_records` (columnar);
-    kept under its historical name for suite-internal use and tests.
-    """
-    return summarize_records(records)
-
-
 def _execute_scenario(
     spec: Dict[str, object],
     seq: np.random.SeedSequence,
@@ -181,7 +170,7 @@ def _execute_scenario(
     return ScenarioRunResult(
         scenario=scenario,
         table=measurement.table,
-        summary=_summarize(measurement.table),
+        summary=summarize_records(measurement.table),
         top_targets=top_targets,
         design_name=design.name,
         n_runs=design.n_runs,

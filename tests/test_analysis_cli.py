@@ -138,8 +138,12 @@ class TestBaselineWorkflow:
             "import numpy as np\nrng = np.random.default_rng(7)\n",
         )
         capsys.readouterr()
-        assert analysis_main(["--baseline", baseline, "defect.py"]) == 0
-        assert "stale" in capsys.readouterr().out
+        assert analysis_main(["--baseline", baseline, "defect.py"]) == 1
+        out = capsys.readouterr().out
+        assert "stale" in out and "--update-baseline" in out
+        # Entries for files outside the scanned paths are not stale.
+        write(tmp_path, "clean.py", "x = 1\n")
+        assert analysis_main(["--baseline", baseline, "clean.py"]) == 0
 
     def test_unreadable_baseline_is_usage_error(self, tmp_path, capsys):
         path = write(tmp_path, "clean.py", "x = 1\n")

@@ -179,3 +179,15 @@ class TestTransientAnalysis:
         gspn.add_timed("finish", 1.0)
         with pytest.raises(ValueError):
             gspn.transient_analysis(1.0, 0, rng)
+        for bad in (2.5, True, "3"):
+            with pytest.raises(TypeError, match="replications"):
+                gspn.transient_analysis(1.0, bad, rng)
+
+    def test_int_seed_is_deterministic(self):
+        gspn = GSPN(make_birth_death())
+        gspn.add_timed("arrive", 1.0)
+        gspn.add_timed("finish", 1.0)
+        first = gspn.transient_analysis(5.0, 3, 7)
+        again = gspn.transient_analysis(5.0, 3, 7)
+        assert first.final_markings == again.final_markings
+        assert repr(first.completion_times) == repr(again.completion_times)

@@ -173,3 +173,38 @@ class TestRewards:
         estimator = RewardEstimator(two_stage_model())
         with pytest.raises(ValueError):
             estimator.estimate(1.0, 0, rng)
+        for bad in (2.5, True, "3"):
+            with pytest.raises(TypeError, match="replications"):
+                estimator.estimate(1.0, bad, rng)
+
+    def test_int_seed_is_deterministic(self):
+        estimator = RewardEstimator(
+            two_stage_model(),
+            rate_rewards=[RateReward("in_s0", rate=lambda m: float(m["s0"]))],
+            impulse_rewards=[ImpulseReward("a2_done", activity="a2")],
+        )
+        first = estimator.estimate(10.0, 20, rng=7)
+        again = estimator.estimate(10.0, 20, rng=7)
+        assert {k: v.samples for k, v in first.items()} == {
+            k: v.samples for k, v in again.items()
+        }
+
+    @pytest.mark.parametrize(
+        "rewards",
+        [
+            {
+                "rate_rewards": [RateReward("x", rate=lambda m: 1.0)],
+                "impulse_rewards": [ImpulseReward("x", activity="a1")],
+            },
+            {
+                "rate_rewards": [
+                    RateReward("x", rate=lambda m: 1.0),
+                    RateReward("x", rate=lambda m: 2.0),
+                ],
+            },
+        ],
+        ids=["rate_and_impulse", "two_rate"],
+    )
+    def test_duplicate_reward_names_rejected(self, rewards):
+        with pytest.raises(ValueError, match="'x'"):
+            RewardEstimator(two_stage_model(), **rewards)

@@ -12,8 +12,8 @@ import pytest
 
 from repro.core.study import DiversityStudy
 from repro.exec.runner import ExperimentRunner
+from repro.results import summarize_records
 from repro.scenarios import SCENARIOS, Scenario, ScenarioSuite, get_scenario
-from repro.scenarios.suite import _summarize
 
 SMOKE = get_scenario("smoke")
 #: A second tiny scenario so fast suite tests are multi-scenario.
@@ -167,7 +167,7 @@ class TestDeliveryEquivalence:
 
 class TestSummarize:
     def test_empty_records_all_nan(self):
-        summary = _summarize([])
+        summary = summarize_records([])
         assert all(value != value for value in summary.values())
 
     def test_known_values(self):
@@ -175,7 +175,7 @@ class TestSummarize:
             {"success": 1.0, "tta": 4.0, "ttsf": 2.0, "final_ratio": 0.5},
             {"success": 0.0, "tta": 8.0, "ttsf": 6.0, "final_ratio": 0.25},
         ]
-        summary = _summarize(records)
+        summary = summarize_records(records)
         assert summary["psa"] == 0.5
         assert summary["tta_mean"] == 6.0
         assert summary["ttsf_mean"] == 4.0
