@@ -77,7 +77,7 @@ def duqu_campaign_fixture():
 def test_perf_san_batch_scalar(benchmark, san_simulator):
     """One-replication-at-a-time compiled scalar engine."""
     runs = benchmark(
-        san_simulator.batch, _SAN_HORIZON, _SAN_REPS, _SEED
+        san_simulator.batch, _SAN_HORIZON, _SAN_REPS, _SEED, batch_size=1
     )
     assert len(runs) == _SAN_REPS
 
@@ -97,7 +97,7 @@ def test_perf_san_batch_vectorized(benchmark, san_simulator):
 def test_san_batch_modes_agree(san_simulator):
     """The two benchmarked paths sample the same distribution."""
     n = 512
-    scalar = san_simulator.batch(_SAN_HORIZON, n, _SEED)
+    scalar = san_simulator.batch(_SAN_HORIZON, n, _SEED, batch_size=1)
     batched = san_simulator.batch(
         _SAN_HORIZON, n, _SEED, batch_size=n
     )

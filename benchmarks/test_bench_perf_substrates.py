@@ -69,7 +69,9 @@ def _san_simulation_case(benchmark, compiled: bool):
     rng = np.random.default_rng(1)
 
     def run():
-        return sim.batch(1000.0, 50, rng, stop=lambda m: m["s5"] > 0)
+        return sim.batch(
+            1000.0, 50, rng, stop=lambda m: m["s5"] > 0, batch_size=1
+        )
 
     runs = benchmark(run)
     assert len(runs) == 50

@@ -198,8 +198,9 @@ class SANBatchEngine:
         """Stop mask over ``rows`` of the live marking matrix.
 
         The vectorized path evaluates the whole matrix (one column op)
-        and subsets; the Python fallback only materializes the requested
-        rows.
+        and subsets.  Any other predicate is called once per *distinct*
+        requested row — lanes mostly share a handful of markings — and
+        the answers are mapped back to every row holding that marking.
         """
         batch_mask = getattr(stop, "batch_mask", None)
         if batch_mask is not None:
@@ -211,11 +212,23 @@ class SANBatchEngine:
             return full[rows]
         if rows is not None:
             markings = markings[rows]
-        return np.fromiter(
-            (bool(stop(self._marking_of(row))) for row in markings),
-            dtype=bool,
-            count=markings.shape[0],
+        n_places = markings.shape[1]
+        if n_places == 0:  # every row is the empty marking
+            return np.full(markings.shape[0], bool(stop(SANMarking())))
+        # One opaque void scalar per row, so np.unique compares whole
+        # rows as raw bytes.
+        packed = np.ascontiguousarray(markings).view(
+            np.dtype((np.void, markings.itemsize * n_places))
+        ).ravel()
+        _, first, inverse = np.unique(
+            packed, return_index=True, return_inverse=True
         )
+        verdicts = np.fromiter(
+            (bool(stop(self._marking_of(markings[i]))) for i in first),
+            dtype=bool,
+            count=first.size,
+        )
+        return verdicts[inverse.ravel()]
 
     def run(
         self,
@@ -231,9 +244,11 @@ class SANBatchEngine:
             horizon: Simulation end time.
             size: Number of lanes (replications) in the batch.
             rng: The batch unit's generator.
-            stop: Optional stop predicate; a :class:`PlaceThreshold`
-                evaluates vectorized, any other callable is applied
-                per-lane on a marking view.
+            stop: Optional stop predicate, which must be a function of
+                the marking only.  A :class:`PlaceThreshold` evaluates
+                vectorized; any other callable is applied once per
+                distinct marking among the lanes that just fired, not
+                once per lane.
             max_steps: Guard against runaway models.
 
         Returns:

@@ -108,7 +108,8 @@ class RewardEstimator:
         """Run the batch and accumulate all rewards.
 
         Replication ``i`` draws from child ``i`` of the root seed derived
-        from ``rng`` — the streams :meth:`SANSimulator.batch` uses.
+        from ``rng`` — the streams ``SANSimulator.batch(batch_size=1)``
+        uses.
 
         Rate rewards are integrated over time by observing the marking
         between completions (the marking is piecewise constant, so the

@@ -50,8 +50,15 @@ from repro.san.model import (
     SANModel,
     TimedActivity,
 )
+from repro.telemetry.core import trace
 
 CompletionHook = Callable[[float, str, str, SANMarking], None]
+
+#: Lanes per work unit when :meth:`SANSimulator.batch` is given no
+#: ``batch_size``.  The vectorized engine's per-replication cost sits
+#: at its knee from here up (4096 and 20000 lanes time the same on the
+#: paper's SANs); 256 lanes are 1.5-2x slower per replication.
+DEFAULT_BATCH_SIZE = 1024
 
 
 @dataclass
@@ -397,15 +404,6 @@ class SANSimulator:
         end_time = min(now, horizon)
         return SimulationRun(marking, end_time, stop_time, completions)
 
-    def _replicate(
-        self,
-        horizon: float,
-        stop: Optional[Callable[[SANMarking], bool]],
-        rng: np.random.Generator,
-    ) -> SimulationRun:
-        """Runner work unit: one replication on its own generator."""
-        return self.simulate(horizon, rng, stop=stop)
-
     def batch(
         self,
         horizon: float,
@@ -417,21 +415,35 @@ class SANSimulator:
     ) -> List[SimulationRun]:
         """Run ``replications`` independent replications.
 
-        Replication ``i`` draws from child ``i`` of the root seed derived
-        from ``rng`` (a ``Generator`` is advanced by one draw), so every
-        ``runner`` backend returns identical runs; without a runner they
-        run serially.  The ``process`` backend also needs a picklable
-        model and ``stop`` predicate (no lambdas).
+        The replications run as ``ceil(replications / batch_size)``
+        batch work units of up to ``batch_size`` lanes each
+        (:data:`DEFAULT_BATCH_SIZE` when ``None``), one spawned seed per
+        unit, so every ``runner`` backend returns identical runs;
+        without a runner they run serially.  The ``process`` backend
+        also needs a picklable model and ``stop`` predicate (no
+        lambdas).  ``stop`` must be a function of the marking only: the
+        vectorized engine calls it once per distinct marking, not once
+        per lane.
 
-        With ``batch_size=k`` the replications run on the vectorized
-        structure-of-arrays engine (:mod:`repro.san.batched`) as
-        ``ceil(replications / k)`` batch work units of up to ``k`` lanes
-        each, one spawned seed per unit.  ``batch_size=1`` is
-        bit-identical to the scalar runner path from the same root seed;
-        larger batches are distribution-identical (the draws are
-        consumed in batched order).  Models the SoA lowering cannot
-        express fall back lane-by-lane to the scalar engine inside each
-        unit.
+        A compiled simulator runs each unit on the structure-of-arrays
+        engine (:mod:`repro.san.batched`); models the SoA lowering
+        cannot express fall back lane-by-lane to :meth:`simulate` on the
+        unit's generator.  A ``compiled=False`` simulator always runs
+        its units lane-by-lane on its own interpreter.  Units wider than
+        one lane consume their draws in batched order, so runs are
+        distribution-identical to, not bit-equal with, the scalar
+        engine.
+
+        ``batch_size=1`` runs every unit through :meth:`simulate`:
+        replication ``i`` draws from child ``i`` of the root seed
+        derived from ``rng`` (a ``Generator`` is advanced by one draw),
+        bit for bit the :meth:`ExperimentRunner.run_replications
+        <repro.exec.ExperimentRunner.run_replications>` streams.
+
+        The default pays a fixed per-unit cost: below ~50-100
+        replications it is slower than ``batch_size=1`` (10
+        replications: ~1.3-2 ms against ~0.5-0.8 ms on the cooling
+        case-study SAN), and at 1000 replications it is 3.5-6x faster.
 
         Raises:
             TypeError: If ``replications`` or ``batch_size`` is not an
@@ -441,18 +453,10 @@ class SANSimulator:
         from repro.exec import ExperimentRunner, validate_batch_args
 
         validate_batch_args(replications, batch_size)
-        active = runner or ExperimentRunner()
-        if batch_size is None:
-            return active.run_replications(
-                self._replicate,
-                replications,
-                seed=rng,
-                common_args=(horizon, stop),
-            )
-        batches = active.run_batched_replications(
+        batches = (runner or ExperimentRunner()).run_batched_replications(
             self._batch_unit,
             replications,
-            batch_size,
+            DEFAULT_BATCH_SIZE if batch_size is None else batch_size,
             seed=rng,
             common_args=(horizon, stop),
         )
@@ -465,7 +469,20 @@ class SANSimulator:
         size: int,
         rng: np.random.Generator,
     ) -> List[SimulationRun]:
-        """Runner work unit: one SoA batch of ``size`` lanes."""
-        from repro.san.batched import SANBatchEngine
+        """Runner work unit: ``size`` lanes on one generator.
 
-        return SANBatchEngine(self.model).run(horizon, size, rng, stop=stop)
+        A single lane, or any lane of the legacy interpreter, runs on
+        :meth:`simulate`; the engine's single-lane runs are bit-identical
+        to it, so routing a size-1 unit here changes no draw.
+        """
+        with trace("san.simulate"):
+            if size == 1 or not self.compiled:
+                return [
+                    self.simulate(horizon, rng, stop=stop)
+                    for _ in range(size)
+                ]
+            from repro.san.batched import SANBatchEngine
+
+            return SANBatchEngine(self.model).run(
+                horizon, size, rng, stop=stop
+            )

@@ -14,9 +14,12 @@ import math
 import numpy as np
 import pytest
 
+from repro.exec import ExperimentRunner
 from repro.san.batched import PlaceThreshold, SANBatchEngine, simulate_batch
+from repro.san.ctmc import san_to_ctmc
 from repro.san.model import SANModel, simple_case
-from repro.san.simulator import SANSimulator
+from repro.san.simulator import DEFAULT_BATCH_SIZE, SANSimulator
+from repro.scenarios.registry import SCENARIOS
 from repro.stats.distributions import Exponential
 from repro.telemetry import Telemetry
 from repro.telemetry.report import render_snapshot
@@ -56,7 +59,9 @@ def runs_equal(a, b) -> bool:
 class TestBitExactness:
     def test_batch_size_one_matches_scalar_runner_path(self):
         sim = SANSimulator(pipeline_model())
-        scalar = sim.batch(50.0, 7, rng=123)
+        scalar = ExperimentRunner().run_replications(
+            sim.simulate, 7, seed=123, common_args=(50.0,)
+        )
         batched = sim.batch(50.0, 7, rng=123, batch_size=1)
         assert len(batched) == len(scalar) == 7
         for a, b in zip(scalar, batched):
@@ -138,7 +143,7 @@ class TestDistributionalIdentity:
         model = pipeline_model()
         n = 800
         sim = SANSimulator(model)
-        scalar = sim.batch(50.0, n, rng=99)
+        scalar = sim.batch(50.0, n, rng=99, batch_size=1)
         batched = sim.batch(50.0, n, rng=99, batch_size=n)
         p_scalar = sum(
             r.final_marking.as_dict().get("s3", 0) for r in scalar
@@ -156,11 +161,156 @@ class TestDistributionalIdentity:
         model = pipeline_model()
         n = 800
         sim = SANSimulator(model)
-        scalar = np.mean([r.end_time for r in sim.batch(50.0, n, rng=5)])
+        scalar = np.mean(
+            [r.end_time for r in sim.batch(50.0, n, rng=5, batch_size=1)]
+        )
         batched = np.mean(
             [r.end_time for r in sim.batch(50.0, n, rng=5, batch_size=n)]
         )
         assert abs(scalar - batched) < 0.25
+
+
+def _impaired(marking) -> bool:
+    return marking["impaired"] > 0
+
+
+class TestDefaultBatchSize:
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    def test_default_is_explicit_default_lane_count(self, backend):
+        """No ``batch_size`` runs units of DEFAULT_BATCH_SIZE lanes —
+        bit for bit, on every backend, ragged tail included."""
+        assert DEFAULT_BATCH_SIZE == 1024
+        sim = SANSimulator(pipeline_model())
+        stop = PlaceThreshold("s2", 1)
+        runner = ExperimentRunner(backend, n_workers=2)
+        n = DEFAULT_BATCH_SIZE + 300
+        default = sim.batch(50.0, n, rng=17, stop=stop, runner=runner)
+        explicit = sim.batch(
+            50.0, n, rng=17, stop=stop, batch_size=DEFAULT_BATCH_SIZE
+        )
+        assert len(default) == len(explicit) == n
+        assert all(runs_equal(a, b) for a, b in zip(default, explicit))
+
+    def test_default_unit_count(self):
+        sim = SANSimulator(pipeline_model())
+        telemetry = Telemetry()
+        with telemetry.activate():
+            sim.batch(50.0, 2 * DEFAULT_BATCH_SIZE + 5, rng=1)
+        snapshot = telemetry.snapshot()
+        assert snapshot.counter("batch.batches") == 3
+        assert snapshot.span_paths()["exec.map/san.simulate"]["count"] == 3
+
+
+@pytest.mark.parametrize("name", ["cooling_stuxnet", "smart_grid_stuxnet"])
+class TestPaperSANs:
+    """The default (vectorized) path on the paper's step-1 SANs."""
+
+    N = 20_000
+    SEED = 0
+
+    def test_default_path_matches_exact_mass_and_scalar_times(self, name):
+        from scipy.stats import ks_2samp
+
+        scenario = SCENARIOS.get(name)
+        model = scenario.build_san_model(give_up=True)
+        ctmc = san_to_ctmc(model)
+        distribution = ctmc.transient_distribution(scenario.horizon)
+        exact = float(
+            sum(
+                distribution[index]
+                for index, state in enumerate(ctmc.states)
+                if dict(state).get("impaired")
+            )
+        )
+        sim = SANSimulator(model)
+        default = sim.batch(
+            scenario.horizon, self.N, rng=self.SEED, stop=_impaired
+        )
+        scalar = sim.batch(
+            scenario.horizon, self.N, rng=self.SEED, stop=_impaired,
+            batch_size=1,
+        )
+        hits = sum(run.stopped for run in default)
+        assert 0.0 < exact < 1.0
+        z = (hits / self.N - exact) / math.sqrt(exact * (1 - exact) / self.N)
+        assert abs(z) < 4.0
+        times = [run.stop_time for run in default if run.stopped]
+        reference = [run.stop_time for run in scalar if run.stopped]
+        assert ks_2samp(times, reference).pvalue > 1e-3
+
+
+class TestStopPredicateDedupe:
+    """A plain-callable stop runs once per distinct marking row."""
+
+    def test_mask_equals_per_row_evaluation(self):
+        engine = SANBatchEngine(pipeline_model())
+        rng = np.random.default_rng(4)
+        markings = rng.integers(0, 3, size=(400, len(engine.places)))
+        rows = np.sort(rng.choice(400, size=250, replace=False))
+        calls = []
+
+        def stop(marking):
+            calls.append(marking.as_dict())
+            return marking["s1"] + 2 * marking["dropped"] >= 3
+
+        mask = engine._stop_mask(stop, markings, rows)
+        per_row = [stop(engine._marking_of(row)) for row in markings[rows]]
+        assert mask.tolist() == per_row
+        distinct = np.unique(markings[rows], axis=0).shape[0]
+        assert len(calls) - len(per_row) == distinct < len(rows)
+
+    def test_calls_bounded_by_distinct_rows_per_step(self, monkeypatch):
+        model = pipeline_model(stages=4)
+        calls = [0]
+
+        def stop(marking):
+            calls[0] += 1
+            return marking["s3"] >= 1
+
+        original = SANBatchEngine._stop_mask
+        steps = []
+
+        def counted(self, predicate, markings, rows=None):
+            before = calls[0]
+            mask = original(self, predicate, markings, rows)
+            fired = markings if rows is None else markings[rows]
+            distinct = np.unique(fired, axis=0).shape[0]
+            steps.append((calls[0] - before, distinct, fired.shape[0]))
+            return mask
+
+        monkeypatch.setattr(SANBatchEngine, "_stop_mask", counted)
+        runs = SANBatchEngine(model).run(
+            50.0, 500, np.random.default_rng(8), stop=stop
+        )
+        assert steps
+        assert all(n <= distinct for n, distinct, _ in steps)
+        assert sum(n for n, _, _ in steps) < sum(f for _, _, f in steps)
+        monkeypatch.undo()
+        vectorized = SANBatchEngine(model).run(
+            50.0, 500, np.random.default_rng(8), stop=PlaceThreshold("s3")
+        )
+        assert all(runs_equal(a, b) for a, b in zip(runs, vectorized))
+
+    def test_placeless_model_evaluates_the_empty_marking(self):
+        """A model without places has zero-width marking rows."""
+        model = SANModel("clock")
+        model.add_timed_activity(
+            "tick",
+            distribution=Exponential(1.0),
+            input_places={},
+            cases=[simple_case({}, probability=1.0)],
+        )
+        seen = []
+
+        def stop(marking):
+            seen.append(marking.as_dict())
+            return False
+
+        runs = SANBatchEngine(model).run(
+            5.0, 4, np.random.default_rng(0), stop=stop
+        )
+        assert len(runs) == 4 and not any(run.stopped for run in runs)
+        assert len(seen) > 1 and all(m == {} for m in seen)
 
 
 class TestValidation:

@@ -298,11 +298,29 @@ class TestCompiledStructures:
         model = stage_chain()
         fast = SANSimulator(model, compiled=True)
         slow = SANSimulator(model, compiled=False)
-        runs_fast = fast.batch(100.0, 16, rng=7)
-        runs_slow = slow.batch(100.0, 16, rng=7)
+        runs_fast = fast.batch(100.0, 16, rng=7, batch_size=1)
+        runs_slow = slow.batch(100.0, 16, rng=7, batch_size=1)
         assert [r.completions for r in runs_fast] == [
             r.completions for r in runs_slow
         ]
         assert [r.stop_time for r in runs_fast] == pytest.approx(
             [r.stop_time for r in runs_slow], nan_ok=True
         )
+
+    def test_legacy_batch_units_stay_on_the_legacy_interpreter(
+        self, monkeypatch
+    ):
+        """Multi-lane units of a ``compiled=False`` simulator run every
+        lane on its own interpreter, not on the SoA lowering."""
+        calls = []
+        original = SANSimulator._simulate_legacy
+
+        def counted(self, *args):
+            calls.append(args[0])
+            return original(self, *args)
+
+        monkeypatch.setattr(SANSimulator, "_simulate_legacy", counted)
+        runs = SANSimulator(stage_chain(), compiled=False).batch(
+            100.0, 40, rng=7
+        )
+        assert len(runs) == len(calls) == 40

@@ -1,10 +1,12 @@
 """One seeding contract for the step-1 Monte Carlo estimators.
 
-``SANSimulator.batch``, ``RewardEstimator.estimate`` and
+``SANSimulator.batch(batch_size=1)``, ``RewardEstimator.estimate`` and
 ``GSPN.transient_analysis`` give replication ``i`` its own generator,
 seeded from child ``i`` of the root ``SeedSequence`` derived from
 ``rng`` — the streams ``ExperimentRunner.run_replications`` hands out.
-A passed ``Generator`` only derives that root, with one draw.
+(The default ``SANSimulator.batch`` gives each unit of
+``DEFAULT_BATCH_SIZE`` lanes one such child.)  A passed ``Generator``
+only derives that root, with one draw.
 
 The estimates must not move against the shared-generator loops these
 methods used to run (kept here as test-local references): KS tests on
@@ -149,7 +151,7 @@ class TestAgreementWithSharedGeneratorLoops:
 class TestPerReplicationStreams:
     def test_san_batch_replication_i_uses_child_i(self):
         sim = SANSimulator(two_stage_model())
-        runs = sim.batch(HORIZON, 6, 7, stop=_reached_s2)
+        runs = sim.batch(HORIZON, 6, 7, stop=_reached_s2, batch_size=1)
         expected = [
             sim.simulate(HORIZON, g, stop=_reached_s2)
             for g in _children(7, 6)
@@ -172,7 +174,7 @@ class TestPerReplicationStreams:
         )
         estimates = estimator.estimate(HORIZON, 8, 7, stop=_reached_s2)
         runs = SANSimulator(two_stage_model()).batch(
-            HORIZON, 8, 7, stop=_reached_s2
+            HORIZON, 8, 7, stop=_reached_s2, batch_size=1
         )
         assert estimates["clock"].samples == pytest.approx(
             [r.end_time for r in runs]
