@@ -76,6 +76,66 @@ class PlaceThreshold:
         return f"PlaceThreshold({self.place!r}, min_tokens={self.min_tokens})"
 
 
+def _row_marking(places: List[str], row: np.ndarray) -> SANMarking:
+    """A marking-matrix row as a fresh :class:`SANMarking`."""
+    # Engine counts are non-negative by construction, so skip the
+    # validating constructor.
+    marking = SANMarking.__new__(SANMarking)
+    marking._counts = {
+        place: count for place, count in zip(places, row.tolist()) if count
+    }
+    return marking
+
+
+class _UnitColumns:
+    """The columnar record of one batch unit, shared by its lazy runs.
+
+    Holds the ``(lanes, places)`` final-marking matrix, the event log
+    sorted by lane (time, activity index, case index) with per-lane
+    ``bounds`` into it, and the engine's place, name and label tables.
+    Each :class:`~repro.san.simulator.SimulationRun` builds its own
+    marking and completion list from here on first access.
+    """
+
+    def __init__(
+        self,
+        markings: np.ndarray,
+        times: np.ndarray,
+        acts: np.ndarray,
+        cases: np.ndarray,
+        bounds: List[int],
+        places: List[str],
+        names: List[str],
+        labels: List[List[str]],
+    ) -> None:
+        self.markings = markings
+        self.times = times
+        self.acts = acts
+        self.cases = cases
+        self.bounds = bounds
+        self.places = places
+        self.names = names
+        self.labels = labels
+
+    def marking(self, lane: int) -> SANMarking:
+        """A fresh :class:`SANMarking` of ``lane``'s final marking."""
+        return _row_marking(self.places, self.markings[lane])
+
+    def completions(self, lane: int) -> List[Tuple[float, str, str]]:
+        """A fresh list of ``lane``'s ``(time, activity, case_label)``
+        completions, in time order."""
+        lo, hi = self.bounds[lane], self.bounds[lane + 1]
+        names, labels = self.names, self.labels
+        return [
+            (time, names[j], labels[j][c])
+            for time, j, c in zip(
+                self.times[lo:hi].tolist(),
+                self.acts[lo:hi].tolist(),
+                self.cases[lo:hi].tolist(),
+            )
+        ]
+
+
 class SANBatchEngine:
     """SoA batch lowering of one :class:`~repro.san.model.SANModel`.
 
@@ -179,16 +239,6 @@ class SANBatchEngine:
 
     # ------------------------------------------------------------------
 
-    def _marking_of(self, row: np.ndarray) -> SANMarking:
-        """A lane's marking row as a :class:`SANMarking`."""
-        return SANMarking(
-            {
-                place: int(row[i])
-                for i, place in enumerate(self.places)
-                if row[i]
-            }
-        )
-
     def _stop_mask(
         self,
         stop: Callable[[SANMarking], bool],
@@ -224,7 +274,10 @@ class SANBatchEngine:
             packed, return_index=True, return_inverse=True
         )
         verdicts = np.fromiter(
-            (bool(stop(self._marking_of(markings[i]))) for i in first),
+            (
+                bool(stop(_row_marking(self.places, markings[i])))
+                for i in first
+            ),
             dtype=bool,
             count=first.size,
         )
@@ -266,7 +319,7 @@ class SANBatchEngine:
                 simulator.simulate(horizon, rng, stop=stop)
                 for _ in range(size)
             ]
-            self._record_telemetry(size, 0, 0)
+            self._record_telemetry(size, 0, 0, self.fallback_reason)
             return runs
 
         initial = self.model.initial_marking()
@@ -482,72 +535,42 @@ class SANBatchEngine:
             # per step, so a stable sort by lane keeps each lane's
             # events chronological.
             order = np.argsort(all_lane, kind="stable")
-            all_j = np.concatenate(ev_act)[order]
-            all_case = np.concatenate(ev_case)[order]
-            # Object-array fancy indexing resolves every event's name
-            # and label at C speed — no per-event Python loop.
-            name_arr = np.array(self._names, dtype=object)
-            max_cases = max(len(labels) for labels in self._labels)
-            label_matrix = np.empty(
-                (len(self._labels), max_cases), dtype=object
-            )
-            for j, labels in enumerate(self._labels):
-                label_matrix[j, : len(labels)] = labels
-            triples = list(
-                zip(
-                    np.concatenate(ev_time)[order].tolist(),
-                    name_arr[all_j].tolist(),
-                    label_matrix[all_j, all_case].tolist(),
-                )
-            )
+            times = np.concatenate(ev_time)[order]
+            acts = np.concatenate(ev_act)[order]
+            cases = np.concatenate(ev_case)[order]
             bounds = np.searchsorted(
                 all_lane[order], np.arange(size + 1)
             ).tolist()
-            completions: List[List[Tuple[float, str, str]]] = [
-                triples[bounds[lane] : bounds[lane + 1]]
-                for lane in range(size)
-            ]
         else:
-            completions = [[] for _ in range(size)]
-
-        # Final markings dedupe heavily (most lanes end in one of a few
-        # states); key rows by their raw bytes — far cheaper than
-        # ``np.unique(axis=0)`` — and build one template dict per
-        # distinct row, copied per lane.
-        places = self.places
-        row_bytes = final_markings.shape[1] * final_markings.itemsize
-        buffer = np.ascontiguousarray(final_markings).tobytes()
-        templates: Dict[bytes, Dict[str, int]] = {}
-        new_marking = SANMarking.__new__
-        runs: List[SimulationRun] = []
-        for lane, (end, stop_at) in enumerate(
-            zip(end_times.tolist(), stop_times.tolist())
-        ):
-            key = buffer[lane * row_bytes : (lane + 1) * row_bytes]
-            template = templates.get(key)
-            if template is None:
-                template = {
-                    place: count
-                    for place, count in zip(
-                        places, final_markings[lane].tolist()
-                    )
-                    if count
-                }
-                templates[key] = template
-            # Counts are non-negative by construction, so skip the
-            # validating constructor on this per-lane hot path.
-            marking = new_marking(SANMarking)
-            marking._counts = dict(template)
-            runs.append(
-                SimulationRun(marking, end, stop_at, completions[lane])
+            times = np.empty(0)
+            acts = cases = np.empty(0, dtype=np.int64)
+            bounds = [0] * (size + 1)
+        unit = _UnitColumns(
+            final_markings, times, acts, cases, bounds,
+            self.places, self._names, self._labels,
+        )
+        lazy = SimulationRun._lazy
+        return [
+            lazy(unit, lane, end, stop_at)
+            for lane, (end, stop_at) in enumerate(
+                zip(end_times.tolist(), stop_times.tolist())
             )
-        return runs
+        ]
 
     @staticmethod
-    def _record_telemetry(size: int, steps: int, lane_steps: int) -> None:
+    def _record_telemetry(
+        size: int,
+        steps: int,
+        lane_steps: int,
+        fallback_reason: Optional[str] = None,
+    ) -> None:
         telemetry = _current_telemetry()
         if telemetry is None:
             return
+        if fallback_reason is not None:
+            telemetry.emit_event(
+                "batch.fallback", engine="san", fallback_reason=fallback_reason
+            )
         metrics = telemetry.metrics
         metrics.inc("batch.batches")
         metrics.inc("batch.lanes", size)

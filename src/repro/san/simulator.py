@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
@@ -43,6 +42,7 @@ import numpy as np
 if TYPE_CHECKING:
     from repro.exec.runner import ExperimentRunner
     from repro.exec.seeding import SeedLike
+    from repro.san.batched import SANBatchEngine
 
 from repro.san.model import (
     InstantaneousActivity,
@@ -61,7 +61,6 @@ CompletionHook = Callable[[float, str, str, SANMarking], None]
 DEFAULT_BATCH_SIZE = 1024
 
 
-@dataclass
 class SimulationRun:
     """Outcome of a single SAN replication.
 
@@ -70,17 +69,125 @@ class SimulationRun:
         end_time: Clock value at the end of the run.
         stop_time: Time the stop predicate first held (nan if never).
         completions: ``(time, activity, case_label)`` triples.
+
+    Runs from the vectorized batch engine (:mod:`repro.san.batched`)
+    are lazy: ``end_time`` and ``stop_time`` are plain floats, while
+    ``final_marking`` and ``completions`` are built from the batch
+    unit's shared columns on first read and cached, every run getting
+    its own independent copy.  Until both lazy fields have been read or
+    set, a kept run holds its whole unit's columns alive (the final
+    markings and event log of up to ``batch_size`` lanes).
+
+    Equality, ``repr`` and pickling behave as for a dataclass with
+    these four fields; runs are unhashable.
     """
 
-    final_marking: SANMarking
-    end_time: float
-    stop_time: float
-    completions: List[Tuple[float, str, str]] = field(default_factory=list)
+    __slots__ = (
+        "end_time", "stop_time", "_final_marking", "_completions",
+        "_unit", "_lane",
+    )
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(
+        self,
+        final_marking: SANMarking,
+        end_time: float,
+        stop_time: float,
+        completions: Optional[List[Tuple[float, str, str]]] = None,
+    ) -> None:
+        self._final_marking = final_marking
+        self.end_time = end_time
+        self.stop_time = stop_time
+        self._completions = [] if completions is None else completions
+        self._unit = None
+        self._lane = 0
+
+    @classmethod
+    def _lazy(
+        cls, unit, lane: int, end_time: float, stop_time: float
+    ) -> "SimulationRun":
+        """A run whose marking and completions ``unit`` builds on
+        demand (``unit.marking(lane)`` / ``unit.completions(lane)``)."""
+        run = cls.__new__(cls)
+        run._final_marking = None
+        run.end_time = end_time
+        run.stop_time = stop_time
+        run._completions = None
+        run._unit = unit
+        run._lane = lane
+        return run
+
+    @property
+    def final_marking(self) -> SANMarking:
+        if self._final_marking is None and self._unit is not None:
+            self.final_marking = self._unit.marking(self._lane)
+        return self._final_marking
+
+    @final_marking.setter
+    def final_marking(self, marking: SANMarking) -> None:
+        self._final_marking = marking
+        self._release_unit()
+
+    @property
+    def completions(self) -> List[Tuple[float, str, str]]:
+        if self._completions is None and self._unit is not None:
+            self.completions = self._unit.completions(self._lane)
+        return self._completions
+
+    @completions.setter
+    def completions(self, completions: List[Tuple[float, str, str]]) -> None:
+        self._completions = completions
+        self._release_unit()
+
+    def _release_unit(self) -> None:
+        """Drop the unit's columns once neither field needs them."""
+        if self._final_marking is not None and self._completions is not None:
+            self._unit = None
 
     @property
     def stopped(self) -> bool:
         """Whether the stop predicate held during the run."""
         return not math.isnan(self.stop_time)
+
+    def _fields(self) -> tuple:
+        return (
+            self.final_marking, self.end_time, self.stop_time,
+            self.completions,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            theirs = other._fields()  # type: ignore[attr-defined]
+            return self._fields() == theirs
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(final_marking={self.final_marking!r}, "
+            f"end_time={self.end_time!r}, stop_time={self.stop_time!r}, "
+            f"completions={self.completions!r})"
+        )
+
+    def __reduce__(self):
+        # A lazy run pickles its unit's columns (shared, so pickled
+        # once, by every run of one unit in the same payload).
+        return (
+            _restore_run,
+            (
+                self._final_marking, self.end_time, self.stop_time,
+                self._completions, self._unit, self._lane,
+            ),
+        )
+
+
+def _restore_run(
+    final_marking, end_time, stop_time, completions, unit, lane
+) -> SimulationRun:
+    """Unpickle a :class:`SimulationRun`, lazy fields included."""
+    run = SimulationRun._lazy(unit, lane, end_time, stop_time)
+    run._final_marking = final_marking
+    run._completions = completions
+    return run
 
 
 class SANSimulator:
@@ -453,17 +560,25 @@ class SANSimulator:
         from repro.exec import ExperimentRunner, validate_batch_args
 
         validate_batch_args(replications, batch_size)
+        if batch_size is None:
+            batch_size = DEFAULT_BATCH_SIZE
+        engine = None
+        if self.compiled and min(batch_size, replications) > 1:
+            from repro.san.batched import SANBatchEngine
+
+            engine = SANBatchEngine(self.model)
         batches = (runner or ExperimentRunner()).run_batched_replications(
             self._batch_unit,
             replications,
-            DEFAULT_BATCH_SIZE if batch_size is None else batch_size,
+            batch_size,
             seed=rng,
-            common_args=(horizon, stop),
+            common_args=(engine, horizon, stop),
         )
         return [run for unit in batches for run in unit]
 
     def _batch_unit(
         self,
+        engine: Optional["SANBatchEngine"],
         horizon: float,
         stop: Optional[Callable[[SANMarking], bool]],
         size: int,
@@ -471,18 +586,16 @@ class SANSimulator:
     ) -> List[SimulationRun]:
         """Runner work unit: ``size`` lanes on one generator.
 
-        A single lane, or any lane of the legacy interpreter, runs on
-        :meth:`simulate`; the engine's single-lane runs are bit-identical
-        to it, so routing a size-1 unit here changes no draw.
+        ``engine`` is the call's shared SoA lowering (``None`` for the
+        legacy interpreter or ``batch_size=1``).  A single lane, or any
+        lane without an engine, runs on :meth:`simulate`; the engine's
+        single-lane runs are bit-identical to it, so routing a size-1
+        unit here changes no draw.
         """
         with trace("san.simulate"):
-            if size == 1 or not self.compiled:
+            if size == 1 or engine is None:
                 return [
                     self.simulate(horizon, rng, stop=stop)
                     for _ in range(size)
                 ]
-            from repro.san.batched import SANBatchEngine
-
-            return SANBatchEngine(self.model).run(
-                horizon, size, rng, stop=stop
-            )
+            return engine.run(horizon, size, rng, stop=stop)

@@ -10,15 +10,21 @@ Determinism contract under test:
 """
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.exec import ExperimentRunner
-from repro.san.batched import PlaceThreshold, SANBatchEngine, simulate_batch
+from repro.san.batched import (
+    PlaceThreshold,
+    SANBatchEngine,
+    _row_marking,
+    simulate_batch,
+)
 from repro.san.ctmc import san_to_ctmc
-from repro.san.model import SANModel, simple_case
-from repro.san.simulator import DEFAULT_BATCH_SIZE, SANSimulator
+from repro.san.model import SANMarking, SANModel, simple_case
+from repro.san.simulator import DEFAULT_BATCH_SIZE, SANSimulator, SimulationRun
 from repro.scenarios.registry import SCENARIOS
 from repro.stats.distributions import Exponential
 from repro.telemetry import Telemetry
@@ -254,7 +260,9 @@ class TestStopPredicateDedupe:
             return marking["s1"] + 2 * marking["dropped"] >= 3
 
         mask = engine._stop_mask(stop, markings, rows)
-        per_row = [stop(engine._marking_of(row)) for row in markings[rows]]
+        per_row = [
+            stop(_row_marking(engine.places, row)) for row in markings[rows]
+        ]
         assert mask.tolist() == per_row
         distinct = np.unique(markings[rows], axis=0).shape[0]
         assert len(calls) - len(per_row) == distinct < len(rows)
@@ -389,3 +397,240 @@ class TestTelemetry:
         report = render_snapshot(snapshot)
         assert "batch: 64 lanes in 2 batches" in report
         assert "lane utilization" in report
+
+
+class TestFallbackEvent:
+    @staticmethod
+    def _instantaneous_model() -> SANModel:
+        model = SANModel("inst")
+        model.add_timed_activity(
+            "arrive",
+            distribution=Exponential(1.0),
+            input_places={"idle": 1},
+            output_places={"queued": 1},
+        )
+        model.add_instantaneous_activity(
+            "serve", input_places={"queued": 1}, output_places={"done": 1}
+        )
+        model.set_initial("idle", 1)
+        return model
+
+    def test_fallback_emits_event_while_telemetry_is_active(self):
+        engine = SANBatchEngine(self._instantaneous_model())
+        assert not engine.vectorizable
+        telemetry = Telemetry()
+        with telemetry.activate():
+            runs = engine.run(5.0, 3, np.random.default_rng(0))
+        assert [run.final_marking.as_dict() for run in runs] == [
+            {"done": 1}
+        ] * 3
+        events = [e for e in telemetry.events if e["kind"] == "batch.fallback"]
+        assert events == [
+            {
+                "kind": "batch.fallback",
+                "engine": "san",
+                "fallback_reason": engine.fallback_reason,
+                "seq": events[0]["seq"],
+            }
+        ]
+        assert "instantaneous" in engine.fallback_reason
+
+    def test_vectorized_run_emits_no_fallback_event(self):
+        telemetry = Telemetry()
+        with telemetry.activate():
+            SANBatchEngine(pipeline_model()).run(
+                5.0, 3, np.random.default_rng(0)
+            )
+        assert not [
+            e for e in telemetry.events if e["kind"] == "batch.fallback"
+        ]
+
+
+class TestEnginePerBatchCall:
+    def _count_engines(self, monkeypatch):
+        built = []
+        original = SANBatchEngine.__init__
+
+        def counting(self, model):
+            built.append(model)
+            original(self, model)
+
+        monkeypatch.setattr(SANBatchEngine, "__init__", counting)
+        return built
+
+    def test_one_engine_serves_every_unit(self, monkeypatch):
+        built = self._count_engines(monkeypatch)
+        sim = SANSimulator(pipeline_model())
+        telemetry = Telemetry()
+        with telemetry.activate():
+            runs = sim.batch(50.0, 100, rng=3, batch_size=32)
+        assert len(runs) == 100
+        assert telemetry.snapshot().counter("batch.batches") == 4
+        assert len(built) == 1
+
+    def test_scalar_paths_build_no_engine(self, monkeypatch):
+        built = self._count_engines(monkeypatch)
+        SANSimulator(pipeline_model()).batch(50.0, 5, rng=3, batch_size=1)
+        SANSimulator(pipeline_model(), compiled=False).batch(50.0, 5, rng=3)
+        SANSimulator(pipeline_model()).batch(50.0, 1, rng=3)
+        assert built == []
+
+
+def _lazy_unit(seed: int = 5, size: int = 64):
+    """One engine unit of lazy runs; some lanes stop, some drop."""
+    return SANBatchEngine(pipeline_model(stages=4)).run(
+        50.0, size, np.random.default_rng(seed), stop=PlaceThreshold("s3")
+    )
+
+
+def _record(run):
+    """A run's exact fields (NaN-safe)."""
+    return (
+        run.final_marking.freeze(),
+        run.end_time.hex(),
+        repr(run.stop_time),
+        list(run.completions),
+    )
+
+
+def _replay(completions):
+    """The pipeline marking the completions imply from ``{s0: 1}``."""
+    counts = {"s0": 1}
+    for _, name, label in completions:
+        stage = int(name[1:])
+        counts[f"s{stage}"] -= 1
+        target = f"s{stage + 1}" if label == "go" else "dropped"
+        counts[target] = counts.get(target, 0) + 1
+    return {place: count for place, count in counts.items() if count}
+
+
+class TestLazyRuns:
+    """Engine runs build marking and completions on first access."""
+
+    def test_fields_are_unread_until_accessed_then_cached(self):
+        run = _lazy_unit()[0]
+        assert run._final_marking is None and run._completions is None
+        marking = run.final_marking
+        assert run._unit is not None  # completions still need the unit
+        completions = run.completions
+        assert run.final_marking is marking
+        assert run.completions is completions
+        assert run._unit is None  # both built: the columns are released
+
+    def test_each_lane_matches_its_own_event_log(self):
+        """Every lane's completions replay to its final marking, end at
+        its stop time and are chronological."""
+        runs = _lazy_unit(size=200)
+        assert {run.stopped for run in runs} == {True, False}
+        assert any(run.final_marking["dropped"] for run in runs)
+        for run in runs:
+            times = [t for t, _, _ in run.completions]
+            assert times == sorted(times)
+            assert _replay(run.completions) == run.final_marking.as_dict()
+            if run.stopped:
+                assert times[-1] == run.stop_time == run.end_time
+
+    def test_lazy_run_equals_eager_run_with_same_fields(self):
+        lazy, reference = _lazy_unit(), _lazy_unit()
+        for run, ref in zip(lazy, reference):
+            eager = SimulationRun(
+                ref.final_marking.copy(),
+                ref.end_time,
+                run.stop_time,  # NaN != NaN: share the float, as fields do
+                list(ref.completions),
+            )
+            assert run._final_marking is None  # still unread
+            assert run == eager and eager == run
+        run = lazy[0]
+        fields = (
+            run.final_marking, run.end_time, run.stop_time, run.completions
+        )
+        for index, changed in enumerate([
+            SANMarking({"elsewhere": 1}),
+            run.end_time + 1.0,
+            run.end_time + 2.0,
+            run.completions + [(99.0, "a9", "go")],
+        ]):
+            other = list(fields)
+            other[index] = changed
+            assert run != SimulationRun(*other)
+        assert run != _record(run)
+
+    def test_repr_matches_eager_and_dataclass_format(self):
+        unread, reference = _lazy_unit(), _lazy_unit()
+        assert [repr(run) for run in unread] == [
+            repr(
+                SimulationRun(
+                    ref.final_marking, ref.end_time, ref.stop_time,
+                    ref.completions,
+                )
+            )
+            for ref in reference
+        ]
+        run = SimulationRun(
+            SANMarking({"s1": 1}), 1.5, float("nan"), [(1.5, "a0", "go")]
+        )
+        assert repr(run) == (
+            "SimulationRun(final_marking=SANMarking({s1:1}), end_time=1.5, "
+            "stop_time=nan, completions=[(1.5, 'a0', 'go')])"
+        )
+
+    def test_pickle_round_trip_unread_and_read(self):
+        reference = [_record(run) for run in _lazy_unit()]
+        unread = pickle.loads(pickle.dumps(_lazy_unit()))
+        assert unread[0]._final_marking is None
+        assert [_record(run) for run in unread] == reference
+        read = _lazy_unit()
+        assert [_record(run) for run in read] == reference
+        assert [
+            _record(run) for run in pickle.loads(pickle.dumps(read))
+        ] == reference
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            single = pickle.loads(pickle.dumps(_lazy_unit()[3], protocol))
+            assert _record(single) == reference[3]
+
+    def test_mutating_one_lane_leaves_the_others_alone(self):
+        reference = [_record(run) for run in _lazy_unit()]
+        runs = _lazy_unit()
+        shared = [
+            i for i, rec in enumerate(reference) if rec[0] == reference[0][0]
+        ]
+        assert len(shared) > 1  # lanes with the same final marking
+        runs[0].final_marking["intruder"] = 7
+        runs[0].completions.append((99.0, "a9", "go"))
+        assert runs[0].final_marking["intruder"] == 7
+        assert runs[0].completions[-1] == (99.0, "a9", "go")
+        assert [_record(run) for run in runs[1:]] == reference[1:]
+
+    def test_setters_replace_lazy_fields(self):
+        run = _lazy_unit()[0]
+        run.final_marking = SANMarking({"s9": 2})
+        run.completions = [(0.5, "x", "y")]
+        assert run.final_marking.as_dict() == {"s9": 2}
+        assert run.completions == [(0.5, "x", "y")]
+        assert run._unit is None
+
+    def test_keyword_construction(self):
+        marking = SANMarking({"s0": 1})
+        run = SimulationRun(
+            final_marking=marking,
+            end_time=2.0,
+            stop_time=1.0,
+            completions=[(1.0, "a0", "go")],
+        )
+        assert run.final_marking is marking
+        assert (run.end_time, run.stop_time) == (2.0, 1.0)
+        assert run.completions == [(1.0, "a0", "go")]
+        assert run.stopped
+        assert run == SimulationRun(marking, 2.0, 1.0, [(1.0, "a0", "go")])
+
+    def test_default_completions_are_not_shared(self):
+        first = SimulationRun(SANMarking(), 0.0, float("nan"))
+        second = SimulationRun(SANMarking(), 0.0, float("nan"))
+        first.completions.append((0.0, "a", "b"))
+        assert second.completions == []
+        assert first.completions is not second.completions
+
+    def test_runs_are_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(SimulationRun(SANMarking(), 0.0, 0.0))
