@@ -37,10 +37,20 @@ exponential races are memoryless and every timer is independent, the
 first-compromise times solve a shortest-path problem over *per-edge*
 draws: ``comp[tgt] = min(entry[tgt], min over edges (act[src] +
 Exp(1/(rate·p))))``.  Drawing every edge unconditionally and relaxing to
-the fixpoint (a Bellman–Ford sweep over the batch) yields the same joint
-law — unused draws are independent of used ones, and a draw whose source
-never activates is censored to infinity by the horizon cut, exactly like
-the scalar path's "never scheduled" case.
+the fixpoint yields the same joint law — unused draws are independent
+of used ones, and a draw whose source never activates is censored to
+infinity by the horizon cut, exactly like the scalar path's "never
+scheduled" case.
+
+The relaxation (:func:`_relax_compromise`) runs Bellman–Ford sweeps over
+the whole batch.  The lowering sorts the edges by target once (a stable
+``argsort``), so each target's incoming edges form one contiguous
+segment; a sweep gathers every edge's candidate ``act[src] + delay``,
+takes one segmented min per target (``np.minimum.reduceat``) and keeps
+it where it beats the current compromise time.  Entry hosts are
+distinct, so entry times are a plain column assignment.  A min is
+exact and independent of the order it visits its operands, so the
+grouping changes no value: it only replaces a per-element scatter.
 """
 
 from __future__ import annotations
@@ -79,6 +89,7 @@ class _CampaignArrays:
         "root_idx", "root_scale",
         "esc_noise_idx", "esc_noise_scale",
         "edge_src", "edge_tgt", "edge_scale",
+        "in_order", "in_src", "in_starts", "in_tgt",
         "edge_noise_src", "edge_noise_tgt", "edge_noise_scale",
         "c2_p", "c2_interval",
         "recon_k",
@@ -155,6 +166,10 @@ def _lower_campaign(campaign: AttackCampaign) -> _CampaignArrays:
         if noisy > 0:
             entry_noise_scale.append(1.0 / noisy)
     arrays.entry_idx = np.asarray(entry_idx, dtype=np.intp)
+    if np.unique(arrays.entry_idx).size != arrays.entry_idx.size:
+        # The relaxation assigns entry times by column, which needs
+        # one entry draw per host.
+        raise ValueError("duplicate entry hosts")
     arrays.entry_scale = np.asarray(entry_scale)
     arrays.entry_noise_scale = np.asarray(entry_noise_scale)
     arrays.act_scale = 1.0 / threat.activation_delay_rate
@@ -204,6 +219,9 @@ def _lower_campaign(campaign: AttackCampaign) -> _CampaignArrays:
     arrays.edge_src = np.asarray(edge_src, dtype=np.intp)
     arrays.edge_tgt = np.asarray(edge_tgt, dtype=np.intp)
     arrays.edge_scale = np.asarray(edge_scale)
+    (
+        arrays.in_order, arrays.in_src, arrays.in_starts, arrays.in_tgt
+    ) = _group_by_target(arrays.edge_src, arrays.edge_tgt)
     arrays.edge_noise_src = np.asarray(edge_noise_src, dtype=np.intp)
     arrays.edge_noise_tgt = np.asarray(edge_noise_tgt, dtype=np.intp)
     arrays.edge_noise_scale = np.asarray(edge_noise_scale)
@@ -254,6 +272,64 @@ def _lower_campaign(campaign: AttackCampaign) -> _CampaignArrays:
     arrays.response_enabled = campaign.config.response_enabled
     arrays.response_delay_rate = campaign.config.response_delay_rate
     return arrays
+
+
+def _group_by_target(
+    edge_src: np.ndarray, edge_tgt: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Group the edges by target for :func:`_relax_compromise`.
+
+    Returns ``(order, in_src, starts, in_tgt)``: the stable ``argsort``
+    of ``edge_tgt``, the sources in that order, the first sorted
+    position of each target's segment and the distinct targets
+    (ascending; nodes with in-degree 0 are absent).
+    """
+    order = np.argsort(edge_tgt, kind="stable")
+    tgt = edge_tgt[order]
+    starts = np.flatnonzero(np.diff(tgt, prepend=-1))
+    return order, edge_src[order], starts, tgt[starts]
+
+
+def _relax_compromise(
+    arrays: _CampaignArrays, entry: np.ndarray, act_delay: np.ndarray,
+    edge_delay: np.ndarray, horizon: float,
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """First-compromise and activation times of every lane and node.
+
+    Solves ``comp[tgt] = min(entry[tgt], min over edges (act[src] +
+    edge_delay))`` with ``act = comp + act_delay`` by Bellman–Ford
+    sweeps over the batch; every time past ``horizon`` is ``inf``.
+    Each sweep takes the segmented min of the edge candidates grouped
+    by target (``arrays.in_*``, see :func:`_group_by_target`), so one
+    ``reduceat`` replaces a scatter-min over the edges.  ``edge_delay``
+    is in edge order (columns of ``arrays.edge_src``); entry hosts
+    (``arrays.entry_idx``) are distinct.
+
+    Returns:
+        ``(comp, act, sweeps)`` — the ``(size, n_nodes)`` matrices and
+        the number of relaxation sweeps run (at most ``n_nodes``).
+    """
+    size, n = act_delay.shape
+    comp = np.full((size, n), np.inf)
+    comp[:, arrays.entry_idx] = np.where(entry <= horizon, entry, np.inf)
+    in_delay = edge_delay[:, arrays.in_order]
+    sweeps = 0
+    while True:
+        act = comp + act_delay
+        act[act > horizon] = np.inf
+        # Each sweep extends the earliest attack chains by one edge, so
+        # n_nodes sweeps reach the fixpoint (chains are simple paths).
+        if not arrays.in_src.size or sweeps == n:
+            return comp, act, sweeps
+        sweeps += 1
+        cand = act[:, arrays.in_src] + in_delay
+        cand[cand > horizon] = np.inf
+        best = np.minimum.reduceat(cand, arrays.in_starts, axis=1)
+        current = comp[:, arrays.in_tgt]
+        improved = best < current
+        if not improved.any():
+            return comp, act, sweeps
+        comp[:, arrays.in_tgt] = np.where(improved, best, current)
 
 
 class CampaignBatchEngine:
@@ -314,7 +390,7 @@ class CampaignBatchEngine:
             ).reshape(size, 4)
             self._record_telemetry(size)
             return rows
-        comp, act, root, detection, evict_at, goal_at = self._resolve(
+        comp, root, detection, evict_at, goal_at, sweeps = self._resolve(
             size, rng
         )
         done = np.minimum(np.minimum(goal_at, evict_at), self.horizon)
@@ -329,7 +405,7 @@ class CampaignBatchEngine:
             if self._arrays.n_hosts
             else 0.0
         )
-        self._record_telemetry(size)
+        self._record_telemetry(size, sweeps)
         return rows
 
     def run_outcomes(
@@ -348,7 +424,7 @@ class CampaignBatchEngine:
             outcomes = [self.campaign.run(rng) for _ in range(size)]
             self._record_telemetry(size)
             return outcomes
-        comp, act, root, detection, evict_at, goal_at = self._resolve(
+        comp, root, detection, evict_at, goal_at, sweeps = self._resolve(
             size, rng
         )
         done = np.minimum(np.minimum(goal_at, evict_at), self.horizon)
@@ -356,43 +432,48 @@ class CampaignBatchEngine:
         detected = np.isfinite(detection) & (detection <= goal_at)
         evicted = np.isfinite(evict_at) & (evict_at < goal_at)
         nodes = self._arrays.nodes
+        n_hosts = self._arrays.n_hosts
+        # Python rows once per batch: ``tolist`` yields the same floats
+        # as ``float()`` on each NumPy scalar, without the per-lane
+        # scalar boxing.
+        lanes = zip(
+            done.tolist(),
+            comp.tolist(),
+            root.tolist(),
+            success.tolist(),
+            np.where(success, goal_at, np.nan).tolist(),
+            np.where(detected, detection, np.nan).tolist(),
+            evicted.tolist(),
+        )
         outcomes: List[AttackOutcome] = []
-        for lane in range(size):
-            cutoff = done[lane]
-            compromise_times = {
-                nodes[i]: float(t)
-                for i, t in enumerate(comp[lane])
-                if t <= cutoff
-            }
-            root_times = {
-                nodes[i]: float(t)
-                for i, t in enumerate(root[lane])
-                if t <= cutoff
-            }
+        for (
+            cutoff, comp_row, root_row, won, success_time, detection_time,
+            was_evicted,
+        ) in lanes:
             outcomes.append(
                 AttackOutcome(
-                    success=bool(success[lane]),
-                    success_time=(
-                        float(goal_at[lane])
-                        if success[lane]
-                        else float("nan")
-                    ),
-                    detection_time=(
-                        float(detection[lane])
-                        if detected[lane]
-                        else float("nan")
-                    ),
-                    compromise_times=compromise_times,
-                    root_times=root_times,
+                    success=won,
+                    success_time=success_time,
+                    detection_time=detection_time,
+                    compromise_times={
+                        nodes[i]: t
+                        for i, t in enumerate(comp_row)
+                        if t <= cutoff
+                    },
+                    root_times={
+                        nodes[i]: t
+                        for i, t in enumerate(root_row)
+                        if t <= cutoff
+                    },
                     sabotage_start=float("nan"),
                     stage_times={},
                     horizon=self.horizon,
-                    n_hosts=self._arrays.n_hosts,
+                    n_hosts=n_hosts,
                     trace=TraceRecorder(),
-                    evicted=bool(evicted[lane]),
+                    evicted=was_evicted,
                 )
             )
-        self._record_telemetry(size)
+        self._record_telemetry(size, sweeps)
         return outcomes
 
     # ------------------------------------------------------------------
@@ -404,10 +485,10 @@ class CampaignBatchEngine:
     ) -> Tuple[np.ndarray, ...]:
         """Resolve ``size`` lanes in closed form.
 
-        Returns ``(comp, act, root, detection, evict_at, goal_at)`` —
-        per-lane-per-node first-compromise / activation / root matrices
-        (``inf`` = never before the horizon) and per-lane first
-        detection, eviction and goal-achievement times.
+        Returns ``(comp, root, detection, evict_at, goal_at, sweeps)``
+        — per-lane-per-node first-compromise / root matrices (``inf`` =
+        never before the horizon), per-lane first detection, eviction
+        and goal-achievement times, and the relaxation sweep count.
         """
         arrays = self._arrays
         horizon = self.horizon
@@ -435,28 +516,9 @@ class CampaignBatchEngine:
             (size, arrays.edge_noise_src.size)
         ) * arrays.edge_noise_scale
 
-        lanes = np.arange(size)[:, None]
-        comp = np.full((size, n), np.inf)
-        if arrays.entry_idx.size:
-            entry = np.where(entry <= horizon, entry, np.inf)
-            np.minimum.at(comp, (lanes, arrays.entry_idx[None, :]), entry)
-
-        # Bellman–Ford relaxation of the compromise-time shortest paths:
-        # each sweep extends the earliest attack chains by one edge, so
-        # n_nodes sweeps reach the fixpoint (chains are simple paths).
-        for _ in range(n):
-            act = comp + act_delay
-            act[act > horizon] = np.inf
-            if not arrays.edge_src.size:
-                break
-            cand = act[:, arrays.edge_src] + edge_delay
-            cand[cand > horizon] = np.inf
-            before = comp.copy()
-            np.minimum.at(comp, (lanes, arrays.edge_tgt[None, :]), cand)
-            if not (comp < before).any():
-                break
-        act = comp + act_delay
-        act[act > horizon] = np.inf
+        comp, act, sweeps = _relax_compromise(
+            arrays, entry, act_delay, edge_delay, horizon
+        )
 
         root = np.full((size, n), np.inf)
         if arrays.root_idx.size:
@@ -511,7 +573,7 @@ class CampaignBatchEngine:
             goal_at = self._recon_time(comp)
         else:
             goal_at = self._exfiltration_time(root)
-        return comp, act, root, detection, evict_at, goal_at
+        return comp, root, detection, evict_at, goal_at, sweeps
 
     def _recon_time(self, comp: np.ndarray) -> np.ndarray:
         """Per-lane time of the K-th compromise (``inf`` = never)."""
@@ -587,7 +649,7 @@ class CampaignBatchEngine:
         return traj.tick_time(traj.first_finding[0])
 
     @staticmethod
-    def _record_telemetry(size: int) -> None:
+    def _record_telemetry(size: int, sweeps: int = 0) -> None:
         telemetry = _current_telemetry()
         if telemetry is None:
             return
@@ -595,6 +657,8 @@ class CampaignBatchEngine:
         metrics.inc("batch.batches")
         metrics.inc("batch.lanes", size)
         metrics.inc("batch.lane_retirements", size)
+        if sweeps:
+            metrics.inc("batch.relax_sweeps", sweeps)
 
 
 def simulate_batch_rows(

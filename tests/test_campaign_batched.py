@@ -11,15 +11,21 @@ suite, ``Session`` and ``StudyBuilder``, recorded on
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.api import Session
-from repro.attacks.batched import CampaignBatchEngine
+from repro.attacks.batched import (
+    CampaignBatchEngine,
+    _group_by_target,
+    _relax_compromise,
+)
 from repro.attacks.campaign import AttackCampaign
 from repro.scenarios.registry import SCENARIOS, get_scenario
 from repro.scenarios.suite import ScenarioSuite
+from repro.telemetry import Telemetry
 
 VECTORIZED = {"cooling_duqu", "smart_grid_duqu", "cooling_flame"}
 
@@ -67,6 +73,206 @@ class TestEngineLowering:
                 campaign.config.horizon
             )
             np.testing.assert_array_equal(row, np.asarray(expected))
+
+    def test_duplicate_entry_hosts_fall_back(self):
+        campaign = campaign_for("cooling_duqu")
+        tables = campaign._compile_tables()
+        first = next(item for item in tables.entry if item[1] > 0)
+        tables.entry = tables.entry + [first]
+        engine = CampaignBatchEngine(campaign)
+        assert not engine.vectorized
+        assert "duplicate entry" in engine.fallback_reason
+        assert engine.run_rows(3, np.random.default_rng(1)).shape == (3, 4)
+
+
+def reference_relax(entry_idx, entry, act_delay, src, tgt, delay, horizon):
+    """The scatter-min Bellman–Ford the grouped relaxation replaced."""
+    size, n = act_delay.shape
+    lanes = np.arange(size)[:, None]
+    comp = np.full((size, n), np.inf)
+    if entry_idx.size:
+        entry = np.where(entry <= horizon, entry, np.inf)
+        np.minimum.at(comp, (lanes, entry_idx[None, :]), entry)
+    for _ in range(n):
+        act = comp + act_delay
+        act[act > horizon] = np.inf
+        if not src.size:
+            break
+        cand = act[:, src] + delay
+        cand[cand > horizon] = np.inf
+        before = comp.copy()
+        np.minimum.at(comp, (lanes, tgt[None, :]), cand)
+        if not (comp < before).any():
+            break
+    act = comp + act_delay
+    act[act > horizon] = np.inf
+    return comp, act
+
+
+def grouped(entry_idx, src, tgt):
+    order, in_src, in_starts, in_tgt = _group_by_target(src, tgt)
+    return SimpleNamespace(
+        entry_idx=entry_idx, in_order=order, in_src=in_src,
+        in_starts=in_starts, in_tgt=in_tgt,
+    )
+
+
+def relax(entry_idx, entry, act_delay, src, tgt, delay, horizon):
+    return _relax_compromise(
+        grouped(entry_idx, src, tgt), entry, act_delay, delay, horizon
+    )
+
+
+def random_graph(rng, n, n_edges):
+    """Random edges with repeated (source, target) pairs and some
+    nodes never targeted."""
+    targets = rng.choice(n, size=max(1, n // 2 + 1), replace=False)
+    src = rng.integers(0, n, n_edges)
+    tgt = rng.choice(targets, n_edges)
+    if n_edges >= 2:
+        src[-1], tgt[-1] = src[0], tgt[0]
+    return src.astype(np.intp), tgt.astype(np.intp)
+
+
+class TestRelaxation:
+    """The target-grouped segmented min against a scatter-min
+    reference."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_scatter_reference_on_random_graphs(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 9))
+        size = int(rng.integers(1, 6))
+        src, tgt = random_graph(rng, n, int(rng.integers(0, 3 * n + 1)))
+        entry_idx = rng.choice(
+            n, size=int(rng.integers(0, n + 1)), replace=False
+        ).astype(np.intp)
+        entry = rng.exponential(1.0, (size, entry_idx.size))
+        entry[0] = np.inf  # an all-inf lane
+        act_delay = rng.exponential(0.5, (size, n))
+        delay = rng.exponential(1.0, (size, src.size))
+        horizon = float(rng.uniform(0.5, 4.0))
+        comp, act, sweeps = relax(
+            entry_idx, entry, act_delay, src, tgt, delay, horizon
+        )
+        ref_comp, ref_act = reference_relax(
+            entry_idx, entry, act_delay, src, tgt, delay, horizon
+        )
+        np.testing.assert_array_equal(comp, ref_comp)
+        np.testing.assert_array_equal(act, ref_act)
+        assert np.isinf(comp[0]).all() and np.isinf(act[0]).all()
+        assert 0 <= sweeps <= n
+
+    def test_multi_edges_take_the_faster_vector(self):
+        # Two vectors 0 -> 1; the slower one is listed first.
+        src = np.array([0, 0], dtype=np.intp)
+        tgt = np.array([1, 1], dtype=np.intp)
+        comp, _, _ = relax(
+            np.array([0], dtype=np.intp), np.array([[0.5]]),
+            np.zeros((1, 2)), src, tgt, np.array([[3.0, 1.0]]), 10.0,
+        )
+        np.testing.assert_array_equal(comp, [[0.5, 1.5]])
+
+    def test_no_edges(self):
+        entry_idx = np.array([1], dtype=np.intp)
+        empty = np.array([], dtype=np.intp)
+        entry = np.array([[1.0], [7.0]])
+        act_delay = np.array([[0.5, 0.5], [0.5, 0.5]])
+        comp, act, sweeps = relax(
+            entry_idx, entry, act_delay, empty, empty,
+            np.empty((2, 0)), 5.0,
+        )
+        np.testing.assert_array_equal(comp, [[np.inf, 1.0], [np.inf] * 2])
+        np.testing.assert_array_equal(act, [[np.inf, 1.5], [np.inf] * 2])
+        assert sweeps == 0
+
+    def test_times_exactly_at_the_horizon_are_kept(self):
+        # Chain 0 -> 1 -> 2: entry lands on the horizon in lane 1, the
+        # second hop in lane 0; anything past it is censored.
+        horizon = 2.0
+        src = np.array([0, 1], dtype=np.intp)
+        tgt = np.array([1, 2], dtype=np.intp)
+        entry_idx = np.array([0], dtype=np.intp)
+        entry = np.array([[0.5], [2.0], [2.25]])
+        act_delay = np.zeros((3, 3))
+        delay = np.array([[0.5, 1.0], [0.0, 0.0], [0.0, 0.0]])
+        comp, act, _ = relax(
+            entry_idx, entry, act_delay, src, tgt, delay, horizon
+        )
+        np.testing.assert_array_equal(
+            comp, [[0.5, 1.0, 2.0], [2.0, 2.0, 2.0], [np.inf] * 3]
+        )
+        np.testing.assert_array_equal(act, comp)
+        delay[0, 1] = 1.25
+        comp, _, _ = relax(
+            entry_idx, entry, act_delay, src, tgt, delay, horizon
+        )
+        assert comp[0, 2] == np.inf
+
+    def test_path_takes_one_sweep_per_hop_plus_a_check(self):
+        n = 6
+        src = np.arange(n - 1, dtype=np.intp)
+        tgt = src + 1
+        comp, _, sweeps = relax(
+            np.array([0], dtype=np.intp), np.zeros((2, 1)),
+            np.full((2, n), 0.25), src, tgt, np.full((2, n - 1), 0.25),
+            100.0,
+        )
+        np.testing.assert_array_equal(comp[0], np.arange(n) * 0.5)
+        assert sweeps == n
+
+    def test_grouping_by_target(self):
+        order, in_src, starts, in_tgt = _group_by_target(
+            np.array([5, 6, 7, 8], dtype=np.intp),
+            np.array([2, 0, 2, 0], dtype=np.intp),
+        )
+        np.testing.assert_array_equal(order, [1, 3, 0, 2])
+        np.testing.assert_array_equal(in_src, [6, 8, 5, 7])
+        np.testing.assert_array_equal(starts, [0, 2])
+        np.testing.assert_array_equal(in_tgt, [0, 2])
+
+    def test_grouping_keeps_edge_order_within_a_target(self):
+        tgt = np.random.default_rng(0).integers(0, 5, 64).astype(np.intp)
+        order, _, _, _ = _group_by_target(np.arange(64, dtype=np.intp), tgt)
+        for target in range(5):
+            within = order[tgt[order] == target]
+            np.testing.assert_array_equal(within, np.sort(within))
+
+    def test_stops_at_the_first_sweep_without_improvement(self):
+        # A star 0 -> 1..5 settles in one sweep; the second confirms.
+        n = 6
+        tgt = np.arange(1, n, dtype=np.intp)
+        _, _, sweeps = relax(
+            np.array([0], dtype=np.intp), np.zeros((1, 1)),
+            np.zeros((1, n)), np.zeros(n - 1, dtype=np.intp), tgt,
+            np.ones((1, n - 1)), 100.0,
+        )
+        assert sweeps == 2
+
+    def test_sweep_counter_is_deterministic_and_bounded(self):
+        engine = CampaignBatchEngine(campaign_for("cooling_flame"))
+        n_nodes = engine._arrays.n_nodes
+
+        def per_batch(seed):
+            counts = []
+            rng = np.random.default_rng(seed)
+            for size in (64, 7, 256):
+                telemetry = Telemetry()
+                with telemetry.activate():
+                    engine.run_rows(size, rng)
+                counts.append(
+                    telemetry.snapshot().counter("batch.relax_sweeps")
+                )
+            return counts
+
+        counts = per_batch(9)
+        assert counts == per_batch(9)
+        assert all(1 <= count <= n_nodes for count in counts)
+
+        telemetry = Telemetry()
+        with telemetry.activate():
+            engine.run_outcomes(64, np.random.default_rng(9))
+        assert telemetry.snapshot().counter("batch.relax_sweeps") == counts[0]
 
 
 class TestBitExactness:
