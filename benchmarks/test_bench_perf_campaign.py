@@ -17,13 +17,9 @@ paths introduced by the tick-elision / columnar-results work:
   round builds fresh campaigns internally, so this measures the cold
   end-to-end pipeline including columnar aggregation and ANOVA.
 * ``perf_suite_run_warm_cache`` — the same suite served from a
-  populated content-addressed cache; paired against ``perf_suite_run``
-  by ``repro.bench`` (suffix convention), it reports the warm/cold
-  ratio.
-
-``python -m repro.bench`` persists all of these (and the substrate
-benchmarks) to a JSON baseline; ``--compare`` fails the run on
-regressions.
+  populated content-addressed cache; read against ``perf_suite_run``
+  it gives the warm/cold ratio, and it checks that the warm records
+  equal the cold ones.
 """
 
 from __future__ import annotations
@@ -117,10 +113,9 @@ def test_perf_suite_run_legacy(benchmark):
 def test_perf_suite_run_session(benchmark):
     """The same three-scenario suite through ``Session.submit``.
 
-    Paired against ``perf_suite_run`` by the ``_session`` suffix
-    convention of :mod:`repro.bench`: the reported ratio is the facade
-    overhead (JobHandle + progress hooks), expected ~1.0 — submitting
-    through ``repro.api`` must cost no wall-clock over the direct
+    Read against ``perf_suite_run``, the ratio is the facade overhead
+    (JobHandle + progress hooks), expected ~1.0 — submitting through
+    ``repro.api`` must cost no wall-clock over the direct
     ``ScenarioSuite.run`` call.
     """
     from repro.api import Session

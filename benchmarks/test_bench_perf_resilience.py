@@ -4,12 +4,12 @@
 ``perf_suite_run`` (benchmarks/test_bench_perf_campaign.py) times —
 same three scenarios, same seed — but with a
 :class:`~repro.exec.RetryPolicy` armed on the runner (watchdog on,
-retries allowed, **no faults injected**).  The two are paired
-explicitly in :mod:`repro.bench` (``_PAIR_EXPLICIT``), so every
-baseline records the overhead ratio; the fault-free cost of carrying
-retry/watchdog machinery must stay within a couple percent, because
-it is now always in the dispatch path (the legacy no-policy run goes
-through the same :class:`~repro.exec.resilience.ChunkDispatcher`).
+retries allowed, **no faults injected**).  The fault-free cost of
+carrying retry/watchdog machinery must stay within a couple percent,
+because it is always in the dispatch path (the no-policy run goes
+through the same :class:`~repro.exec.resilience.ChunkDispatcher`);
+``python -m repro.bench.overhead --workload retry`` gates that ratio
+as interleaved pairs.
 
 ``test_retry_overhead_records_identical`` pins the claim the gate
 rides on: arming a retry policy never perturbs the records — the

@@ -8,10 +8,8 @@ both sides of that claim:
 * ``perf_streaming_campaign`` — a seeded 60-replication
   ``run_batch_table`` in streaming mode (tiny in-RAM bound, so the
   shard machinery is actually exercised) with a running
-  ``StreamingSummary`` folded in.  Timed against the persisted
-  baseline by ``python -m repro.bench --compare``: the streaming
-  overhead over the plain in-RAM batch must stay small and must not
-  regress.
+  ``StreamingSummary`` folded in.  Its time, read against the plain
+  in-RAM batch, is the streaming overhead.
 * ``perf_streaming_builder_1m`` — one million synthetic response rows
   pushed through the builder + aggregator pair with the default
   65 536-row bound.  The reported throughput (``records_per_s`` in
@@ -120,8 +118,10 @@ def test_perf_streaming_builder_1m(benchmark):
         iterations=1,
     )
     assert len(result.shards) >= _SYNTH_ROWS // _RAM_BOUND - 1
-    elapsed = benchmark.stats.stats.median
-    benchmark.extra_info["records_per_s"] = _SYNTH_ROWS / elapsed
+    # --benchmark-disable runs the body once and records no stats.
+    if benchmark.stats is not None:
+        elapsed = benchmark.stats.stats.median
+        benchmark.extra_info["records_per_s"] = _SYNTH_ROWS / elapsed
 
 
 def test_streaming_memory_bounded():

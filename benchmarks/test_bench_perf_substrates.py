@@ -10,8 +10,7 @@ impractical.
 The ``*_legacy`` / ``*_dense_expm`` variants time the retained reference
 implementations (interpreter without the compiled fast path, dense
 ``scipy.linalg.expm`` transient solver) so every run measures the
-compiled-path speedups in place; ``python -m repro.bench`` persists the
-ratios to a JSON baseline (see BENCH_PR3.json).
+compiled-path speedups in place, for reading by hand.
 """
 
 from __future__ import annotations

@@ -4,10 +4,10 @@
 ``perf_suite_run`` (benchmarks/test_bench_perf_campaign.py) times —
 same three scenarios, same seed — but with a live
 :class:`repro.telemetry.Telemetry` activated around it, the way
-``Session(telemetry=True)`` runs it.  The two are paired explicitly in
-:mod:`repro.bench` (``_PAIR_EXPLICIT``), so every baseline records the
-overhead ratio, and ``scripts/ci.sh`` fails the gate when the enabled
-path costs more than the tolerated few percent over the disabled one.
+``Session(telemetry=True)`` runs it.  ``scripts/ci.sh`` gates the
+enabled/disabled ratio as interleaved pairs
+(``python -m repro.bench.overhead --workload telemetry``) and fails
+when the enabled path costs more than the tolerated few percent.
 
 ``test_telemetry_overhead_records_identical`` pins the stronger claim
 the overhead gate rides on: telemetry must never perturb the records —

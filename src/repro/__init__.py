@@ -94,7 +94,7 @@ from repro.telemetry import (
     configure_logging,
 )
 
-__version__ = "2.4.1"
+__version__ = "2.5.0"
 
 __all__ = [
     "AttackCampaign",

@@ -1,364 +1,9 @@
-"""Benchmark harness driver with persisted machine-readable baselines.
+"""Benchmark tooling.
 
-``python -m repro.bench`` runs the pytest-benchmark suite (the ``bench``
-marker tier, defaulting to the substrate timings in
-``benchmarks/test_bench_perf_substrates.py``) and writes a JSON baseline
-file — per-benchmark mean/median/stddev seconds plus derived speedups —
-so successive PRs accumulate a perf trajectory that can be diffed
-mechanically instead of eyeballed from pytest output.
-
-Fast-path/baseline pairs are derived by naming convention: a benchmark
-``X_legacy`` (or ``X_dense_expm``) is treated as the reference
-implementation of ``X`` (``X_uniformized``), and the report includes
-``speedups[X] = median(reference) / median(fast)``.
-
-The output file is organized in named *sections* (default ``"current"``)
-so one file can carry, e.g., ``pre_pr`` and ``post_pr`` runs
-side-by-side: re-running with ``--section`` replaces only that section
-and recomputes nothing else.
-
-Regression mode: ``python -m repro.bench --compare BENCH_PRn.json``
-diffs the fresh run against a previously persisted baseline and exits
-non-zero when any shared benchmark's **median** regresses beyond
-``--tolerance`` (a fraction; default 0.35) — medians, not means,
-because a handful of noisy rounds on a shared box can double a mean
-without any code change.  The baseline is read *before* the fresh run
-writes its output, so comparing against the file being updated (a
-rolling baseline) diffs against the previous contents.  Benchmarks
-present on only one side are reported but never fail the run, so new
-benchmarks can be introduced alongside an old baseline.
+:mod:`repro.bench.overhead` holds the paired overhead gates
+(``python -m repro.bench.overhead``) that ``scripts/ci.sh`` runs.
+Performance regressions are caught elsewhere: the deterministic work
+counters of the benchmark workloads are pinned in tier 1
+(``tests/golden/test_work_counters.py``), and ``perfbench/`` times the
+workloads end to end.
 """
-
-from __future__ import annotations
-
-import argparse
-import json
-import os
-import subprocess
-import sys
-import tempfile
-from typing import Dict, List, Optional
-
-#: ``(fast suffix, reference suffix)`` naming conventions for speedups.
-_PAIR_SUFFIXES = (
-    ("", "_legacy"),
-    ("_uniformized", "_dense_expm"),
-    ("_warm_cache", ""),
-    # repro.api facade overhead check: X_session (Session.submit) is
-    # paired against X (the direct legacy call); the reported "speedup"
-    # should sit at ~1.0 — the facade adds no wall-clock.
-    ("_session", ""),
-)
-
-#: ``{fast benchmark: reference benchmark}`` pairs the suffix
-#: conventions cannot express.  perf_telemetry_overhead reruns exactly
-#: the perf_suite_run workload with telemetry recording enabled; its
-#: "speedup" is the overhead ratio (expected ~1.0, gated by
-#: scripts/ci.sh).
-_PAIR_EXPLICIT = {
-    "perf_telemetry_overhead": "perf_suite_run",
-    # Same workload again with a RetryPolicy armed (watchdog on, no
-    # faults injected); the "speedup" is the fault-free resilience
-    # overhead ratio (expected ~1.0, gated by scripts/ci.sh).
-    "perf_retry_overhead": "perf_suite_run",
-    # Mega-batch SoA lowerings vs their scalar counterparts; the
-    # reported speedups are the batch wins gated by scripts/ci.sh.
-    "perf_san_batch_vectorized": "perf_san_batch_scalar",
-    "perf_campaign_batch_vectorized": "perf_campaign_batch_scalar",
-}
-
-DEFAULT_TARGETS = [
-    "benchmarks/test_bench_perf_substrates.py",
-    "benchmarks/test_bench_perf_campaign.py",
-    "benchmarks/test_bench_perf_streaming.py",
-    "benchmarks/test_bench_perf_telemetry.py",
-    "benchmarks/test_bench_perf_batch.py",
-    "benchmarks/test_bench_perf_resilience.py",
-]
-
-#: Median regression (as a fraction of the baseline median) tolerated
-#: by ``--compare`` before the run fails.
-DEFAULT_TOLERANCE = 0.35
-
-
-def _strip_test_prefix(name: str) -> str:
-    """``test_perf_san_simulation[x]`` → ``perf_san_simulation[x]``."""
-    return name[5:] if name.startswith("test_") else name
-
-
-def parse_benchmark_json(raw: Dict[str, object]) -> Dict[str, Dict[str, float]]:
-    """Flatten a pytest-benchmark JSON report to ``{name: stats}``."""
-    results: Dict[str, Dict[str, float]] = {}
-    for entry in raw.get("benchmarks", []):  # type: ignore[union-attr]
-        stats = entry["stats"]
-        results[_strip_test_prefix(entry["name"])] = {
-            "mean_s": stats["mean"],
-            "median_s": stats["median"],
-            "stddev_s": stats["stddev"],
-            "rounds": stats["rounds"],
-        }
-    return results
-
-
-def derive_speedups(
-    results: Dict[str, Dict[str, float]]
-) -> Dict[str, float]:
-    """``{fast benchmark: reference_median / fast_median}`` over known
-    pairs — medians for the same reason ``--compare`` uses them: a few
-    noisy rounds on a shared box can double a mean without any code
-    change, and the fast side of a pair (many short rounds) collects
-    proportionally more of them."""
-    speedups: Dict[str, float] = {}
-    for name, stats in results.items():
-        reference_name = _PAIR_EXPLICIT.get(name)
-        if reference_name is not None:
-            reference = results.get(reference_name)
-            if reference is not None and stats["median_s"] > 0:
-                speedups[name] = reference["median_s"] / stats["median_s"]
-            continue
-        for fast_suffix, ref_suffix in _PAIR_SUFFIXES:
-            if fast_suffix and not name.endswith(fast_suffix):
-                continue
-            base = name[: len(name) - len(fast_suffix)] if fast_suffix else name
-            reference = results.get(base + ref_suffix)
-            if reference is None or reference is stats:
-                continue
-            median = stats["median_s"]
-            if median > 0:
-                speedups[name] = reference["median_s"] / median
-    return speedups
-
-
-def run_bench(
-    targets: Optional[List[str]] = None,
-    keyword: Optional[str] = None,
-    output: str = "BENCH.json",
-    section: str = "current",
-    pytest_args: Optional[List[str]] = None,
-) -> Dict[str, object]:
-    """Run the benchmark tier and persist a baseline section.
-
-    Args:
-        targets: Test paths to run (default: the substrate timings).
-        keyword: Optional ``pytest -k`` filter.
-        output: Baseline JSON path; existing sections are preserved.
-        section: Section name to (re)write within the file.
-        pytest_args: Extra arguments appended to the pytest invocation.
-
-    Returns:
-        The section dict that was written.
-
-    Raises:
-        RuntimeError: If pytest fails or produces no benchmark report.
-    """
-    targets = targets or list(DEFAULT_TARGETS)
-    with tempfile.TemporaryDirectory() as tmp:
-        report_path = os.path.join(tmp, "benchmark.json")
-        cmd = [
-            sys.executable,
-            "-m",
-            "pytest",
-            "-m",
-            "bench",
-            "-q",
-            f"--benchmark-json={report_path}",
-            *targets,
-        ]
-        if keyword:
-            cmd += ["-k", keyword]
-        if pytest_args:
-            cmd += list(pytest_args)
-        proc = subprocess.run(cmd)
-        if proc.returncode != 0:
-            raise RuntimeError(
-                f"benchmark run failed with exit code {proc.returncode}"
-            )
-        if not os.path.exists(report_path):
-            raise RuntimeError(
-                "pytest produced no benchmark report (is pytest-benchmark "
-                "installed and did any 'bench' test run?)"
-            )
-        with open(report_path) as handle:
-            raw = json.load(handle)
-
-    results = parse_benchmark_json(raw)
-    section_data: Dict[str, object] = {
-        "benchmarks": results,
-        "speedups": derive_speedups(results),
-        "machine": raw.get("machine_info", {}).get("cpu", {}).get("brand_raw")
-        or raw.get("machine_info", {}).get("machine"),
-        "python": raw.get("machine_info", {}).get("python_version"),
-    }
-
-    document: Dict[str, object] = {}
-    if os.path.exists(output):
-        with open(output) as handle:
-            document = json.load(handle)
-    document[section] = section_data
-    with open(output, "w") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return section_data
-
-
-def load_baseline_benchmarks(
-    path: str, section: Optional[str] = None
-) -> Dict[str, Dict[str, float]]:
-    """Per-benchmark stats from a persisted baseline file.
-
-    Args:
-        path: Baseline JSON written by :func:`run_bench`.
-        section: Section to read; default picks ``"current"``, then
-            ``"post_pr"``, then the first section carrying benchmarks.
-
-    Raises:
-        ValueError: If the file has no usable section.
-    """
-    with open(path) as handle:
-        document = json.load(handle)
-    candidates = (
-        [section] if section else ["current", "post_pr", *document.keys()]
-    )
-    for name in candidates:
-        entry = document.get(name)
-        if isinstance(entry, dict) and isinstance(
-            entry.get("benchmarks"), dict
-        ):
-            return entry["benchmarks"]
-    raise ValueError(
-        f"no benchmark section found in {path!r} "
-        f"(looked for: {', '.join(str(c) for c in candidates)})"
-    )
-
-
-def compare_benchmarks(
-    current: Dict[str, Dict[str, float]],
-    baseline: Dict[str, Dict[str, float]],
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> Dict[str, object]:
-    """Diff two benchmark runs.
-
-    Ratios use the per-benchmark **median** (falling back to the mean
-    for baselines that lack one): medians are far more robust to the
-    scheduling noise of shared boxes, where a handful of slow rounds
-    can double a mean without any code change.
-
-    Returns:
-        ``{"ratios": {name: current_median / baseline_median},
-        "regressions": [names beyond tolerance],
-        "only_current": [...], "only_baseline": [...]}``
-    """
-
-    def midpoint(stats: Dict[str, float]) -> float:
-        return stats.get("median_s", stats.get("mean_s", 0.0))
-
-    ratios: Dict[str, float] = {}
-    regressions: List[str] = []
-    for name in sorted(set(current) & set(baseline)):
-        base = midpoint(baseline[name])
-        value = midpoint(current[name])
-        if base <= 0:
-            continue
-        ratio = value / base
-        ratios[name] = ratio
-        if ratio > 1.0 + tolerance:
-            regressions.append(name)
-    return {
-        "ratios": ratios,
-        "regressions": regressions,
-        "only_current": sorted(set(current) - set(baseline)),
-        "only_baseline": sorted(set(baseline) - set(current)),
-    }
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point (``python -m repro.bench``)."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench",
-        description=(
-            "Run the benchmark tier and write a machine-readable "
-            "baseline (per-benchmark timings + derived speedups)."
-        ),
-    )
-    parser.add_argument(
-        "targets",
-        nargs="*",
-        default=None,
-        help=f"test paths to run (default: {DEFAULT_TARGETS[0]})",
-    )
-    parser.add_argument("-k", "--keyword", help="pytest -k filter")
-    parser.add_argument(
-        "-o", "--output", default="BENCH.json",
-        help="baseline JSON file to update (default: BENCH.json)",
-    )
-    parser.add_argument(
-        "-s", "--section", default="current",
-        help="section name inside the baseline file (default: current)",
-    )
-    parser.add_argument(
-        "-c", "--compare", metavar="BASELINE.json",
-        help=(
-            "regression mode: diff the fresh run against this persisted "
-            "baseline (read before the run writes --output) and exit "
-            "non-zero on any shared benchmark whose median regressed "
-            "beyond --tolerance"
-        ),
-    )
-    parser.add_argument(
-        "--compare-section", default=None,
-        help=(
-            "section of the --compare baseline to diff against "
-            "(default: 'current', then 'post_pr', then first usable)"
-        ),
-    )
-    parser.add_argument(
-        "-t", "--tolerance", type=float, default=DEFAULT_TOLERANCE,
-        help=(
-            "fractional median regression tolerated by --compare "
-            f"(default: {DEFAULT_TOLERANCE})"
-        ),
-    )
-    args = parser.parse_args(argv)
-    # Read the baseline up front: it must reflect the *previous* state
-    # even when --compare names the same file --output is about to
-    # update (the rolling-baseline pattern), and a missing/unusable
-    # baseline should fail before minutes of benchmarking.
-    baseline = (
-        load_baseline_benchmarks(args.compare, args.compare_section)
-        if args.compare
-        else None
-    )
-    section = run_bench(
-        targets=args.targets or None,
-        keyword=args.keyword,
-        output=args.output,
-        section=args.section,
-    )
-    speedups = section["speedups"]
-    print(f"\nwrote section {args.section!r} to {args.output}")
-    for name, ratio in sorted(speedups.items()):  # type: ignore[union-attr]
-        print(f"  speedup {name}: {ratio:.1f}x")
-    if baseline is None:
-        return 0
-
-    diff = compare_benchmarks(
-        section["benchmarks"],  # type: ignore[arg-type]
-        baseline,
-        tolerance=args.tolerance,
-    )
-    print(f"\ncompared against {args.compare} (tolerance {args.tolerance:g}):")
-    for name, ratio in diff["ratios"].items():  # type: ignore[union-attr]
-        flag = "REGRESSED" if name in diff["regressions"] else "ok"
-        print(f"  {name}: {ratio:.2f}x baseline median [{flag}]")
-    for name in diff["only_current"]:  # type: ignore[union-attr]
-        print(f"  {name}: new benchmark (no baseline)")
-    for name in diff["only_baseline"]:  # type: ignore[union-attr]
-        print(f"  {name}: missing from this run")
-    if diff["regressions"]:
-        print(
-            f"FAIL: {len(diff['regressions'])} benchmark(s) regressed "
-            f"beyond {args.tolerance:g}"
-        )
-        return 1
-    print("no regressions beyond tolerance")
-    return 0

@@ -13,11 +13,11 @@ are well under the budget, a regression that trips the gate is a real
 one; residual scheduling noise is absorbed by retrying the whole
 measurement a bounded number of times before failing.
 
-The companion benchmark pairs (``perf_telemetry_overhead`` and
-``perf_retry_overhead`` vs ``perf_suite_run`` in ``benchmarks/``)
-record the same ratios into the persisted baselines for the long-term
-trajectory; this module is the hard CI gate.  Select the feature with
-``--workload telemetry`` (default) or ``--workload retry``.
+The companion benchmarks (``perf_telemetry_overhead`` and
+``perf_retry_overhead`` next to ``perf_suite_run`` in ``benchmarks/``)
+time the same workloads for manual inspection; this module is the hard
+CI gate.  Select the feature with ``--workload telemetry`` (default) or
+``--workload retry``.
 """
 
 from __future__ import annotations

@@ -68,6 +68,22 @@ def mixed_net(compiled):
     return gspn
 
 
+def priority_split(compiled):
+    net = PetriNet()
+    net.add_place("p", 3)
+    net.add_place("low", 0)
+    net.add_place("high", 0)
+    net.add_place("pump", 0)
+    net.add_transition("feed", {"pump": 1}, {"p": 1})
+    net.add_transition("to_low", {"p": 1}, {"low": 1})
+    net.add_transition("to_high", {"p": 1}, {"high": 1})
+    gspn = GSPN(net, compiled=compiled)
+    gspn.add_timed("feed", 1.0)
+    gspn.add_immediate("to_low", weight=1.0, priority=1)
+    gspn.add_immediate("to_high", weight=4.0, priority=1)
+    return gspn
+
+
 class TestEquivalence:
     def test_static_rate_birth_death(self):
         assert_equivalent(birth_death, 200.0)
@@ -81,22 +97,7 @@ class TestEquivalence:
         )
 
     def test_immediate_priority_split(self):
-        def build(compiled):
-            net = PetriNet()
-            net.add_place("p", 3)
-            net.add_place("low", 0)
-            net.add_place("high", 0)
-            net.add_place("pump", 0)
-            net.add_transition("feed", {"pump": 1}, {"p": 1})
-            net.add_transition("to_low", {"p": 1}, {"low": 1})
-            net.add_transition("to_high", {"p": 1}, {"high": 1})
-            gspn = GSPN(net, compiled=compiled)
-            gspn.add_timed("feed", 1.0)
-            gspn.add_immediate("to_low", weight=1.0, priority=1)
-            gspn.add_immediate("to_high", weight=4.0, priority=1)
-            return gspn
-
-        assert_equivalent(build, 30.0)
+        assert_equivalent(priority_split, 30.0)
 
     def test_transient_analysis_matches(self):
         rng_fast = np.random.default_rng(3)
