@@ -226,6 +226,9 @@ class _CampaignTables:
         reprogram: ``host → [(plc, p), ...]`` over flow-allowed PLCs,
             with the host's engineering-tool factor folded in.
         spoof: Probability the payload can tamper the monitored signal.
+        plcs: PLC host names, network order.
+        n_hosts: Number of computer hosts (the compromised-ratio
+            denominator).
     """
 
     entry: List[Tuple[str, float]]
@@ -234,6 +237,8 @@ class _CampaignTables:
     propagation: Dict[str, List[Tuple[str, str, float, float]]]
     reprogram: Dict[str, List[Tuple[str, float]]]
     spoof: float
+    plcs: List[str]
+    n_hosts: int
 
 
 def _build_master(plant: PhysicalProcess) -> SCADAMaster:
@@ -300,6 +305,9 @@ class _HealthyTickTrajectory:
         self._dt_seconds = config.tick_interval * 3600.0
         self.record_snapshots = record_snapshots
         self.plant = config.plant_factory()
+        # Duck-typed plants that do not subclass PhysicalProcess have no
+        # clone(); they are snapshotted with its deep-copy default.
+        self._clone = getattr(type(self.plant), "clone", copy.deepcopy)
         self.registers = self.plant.default_registers()
         self.damage = self.plant.make_damage_model()
         self.monitored = self.plant.monitored_register
@@ -318,7 +326,7 @@ class _HealthyTickTrajectory:
         self.scanned = 0
         # Index k holds post-tick-k state; index 0 is the initial state.
         self.snapshots: List[Tuple[PhysicalProcess, Dict[int, int], float]] = [
-            (copy.deepcopy(self.plant), dict(self.registers), 0.0)
+            (self._clone(self.plant), dict(self.registers), 0.0)
         ]
         self.readings: List[float] = [float("nan")]  # index 0 unused
         self.first_finding: Optional[Tuple[int, str]] = None
@@ -367,7 +375,7 @@ class _HealthyTickTrajectory:
         if self.record_snapshots:
             self.snapshots.append(
                 (
-                    copy.deepcopy(self.plant),
+                    self._clone(self.plant),
                     dict(self.registers),
                     self.damage.damage,
                 )
@@ -393,7 +401,7 @@ class _HealthyTickTrajectory:
         """A private copy of the plant state after tick ``k``."""
         self._require_snapshots()
         self.scan_to(k)
-        return copy.deepcopy(self.snapshots[k][0])
+        return self._clone(self.snapshots[k][0])
 
     def registers_at(self, k: int) -> Dict[int, int]:
         """The register image after tick ``k``."""
@@ -665,7 +673,7 @@ class AttackCampaign:
 
         Per-tick state snapshots exist to resume the per-tick loop at
         sabotage, which only ``"impair"``-goal threats can trigger —
-        other goals skip the deepcopy-per-tick cost entirely.
+        other goals skip the clone-per-tick cost entirely.
         """
         trajectory = self._trajectory
         if trajectory is None:
@@ -694,6 +702,8 @@ class AttackCampaign:
             propagation={h: self._propagation_plans(h) for h in computers},
             reprogram={h: self._reprogram_plans(h, plcs) for h in computers},
             spoof=self._spoof_probability(),
+            plcs=plcs,
+            n_hosts=len(computers),
         )
         return self._tables
 
@@ -720,9 +730,8 @@ class AttackCampaign:
         trace = TraceRecorder()
         stages = StageTracker()
 
-        computers = [h.name for h in self.network.hosts if h.is_computer]
-        plcs = [h.name for h in self.network.hosts_with_role(HostRole.PLC)]
-        n_hosts = len(computers)
+        plcs = tables.plcs
+        n_hosts = tables.n_hosts
 
         compromised: Set[str] = set()
         activated: Set[str] = set()

@@ -114,7 +114,11 @@ class ExperimentRunner:
         backend: ``"serial"`` (default), ``"thread"``, ``"process"``, or
             an :class:`~repro.exec.backends.ExecutionBackend` instance.
         n_workers: Pool width for parallel backends; defaults to
-            ``os.cpu_count()``.  Ignored by ``serial``.
+            ``os.cpu_count()``, and to 1 on ``serial``, which runs every
+            unit in-process and ignores the width.  The default sizes
+            the chunks, so a serial run's chunk count does not depend
+            on the host.  An explicit value is kept (and reported) as
+            given.
         chunk_size: Units dispatched per pool task.  Defaults to
             ``ceil(n_units / (4 * n_workers))`` — big enough to amortise
             dispatch overhead, small enough to load-balance.  Chunking
@@ -174,7 +178,11 @@ class ExperimentRunner:
         if chunk_size is not None and chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         self.backend = get_backend(backend)
-        self.n_workers = n_workers or (os.cpu_count() or 1)
+        if n_workers is None:
+            n_workers = (
+                1 if self.backend.name == "serial" else os.cpu_count() or 1
+            )
+        self.n_workers = n_workers
         self.chunk_size = chunk_size
         self.retry = retry
         self.fault_plan = fault_plan

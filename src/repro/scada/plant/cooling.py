@@ -21,7 +21,8 @@ register              meaning
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.scada.plant.damage import DamageModel
@@ -122,63 +123,96 @@ class CoolingPlant(PhysicalProcess):
 
         Steps longer than :data:`MAX_SUBSTEP` are split internally so the
         explicit integration stays stable regardless of the caller's
-        polling period.
+        polling period.  All substeps run in one loop over local floats,
+        with the float operations of :meth:`ThermalNode.step` in the same
+        order, so the result is bit-identical to stepping both nodes one
+        substep at a time.  The control registers are read once: nothing
+        in a step writes them.
 
         Args:
             registers: The PLC register image (mutated in place).
             dt: Time step in seconds.
-        """
-        if dt > self.MAX_SUBSTEP:
-            remaining = dt
-            while remaining > 1e-9:
-                sub = min(self.MAX_SUBSTEP, remaining)
-                self._advance(registers, sub)
-                remaining -= sub
-            return
-        self._advance(registers, dt)
 
-    def _advance(self, registers: Dict[int, int], dt: float) -> None:
-        """One explicit integration step of ``dt <= MAX_SUBSTEP`` seconds."""
+        Raises:
+            ValueError: If ``dt <= 0``.
+        """
+        if dt <= 0:
+            raise ValueError(f"dt must be > 0, got {dt}")
         cfg = self.config
+        room = self.room
+        loop = self.loop
         n_crac_on = max(0, min(registers.get(REG_CRAC_ENABLE, 0), cfg.n_crac))
         pump_on = registers.get(REG_PUMP_ENABLE, 0) > 0
-        setpoint = registers.get(REG_CHILLER_SP, int(cfg.nominal_setpoint * 10)) / 10.0
-
-        # CRAC heat transfer: proportional to the room/loop temperature
-        # approach, saturating at unit capacity; zero without the pump.
-        if pump_on and n_crac_on > 0:
-            approach = self.room.temperature - self.loop.temperature
-            per_unit = max(0.0, min(cfg.crac_capacity_kw, 10.0 * approach))
-            crac_kw = per_unit * n_crac_on
-        else:
-            crac_kw = 0.0
-
-        # Chiller: drives the loop toward the setpoint, capacity-limited.
-        # A sabotaged (raised) setpoint makes the chiller idle while the
-        # loop heats up.
-        if self.loop.temperature > setpoint:
-            overshoot = self.loop.temperature - setpoint
-            chiller_kw = min(cfg.chiller_capacity_kw, 150.0 * overshoot)
-        else:
-            chiller_kw = 0.0
-
-        self.room.step(heat_in_kw=cfg.it_load_kw, heat_out_kw=crac_kw, dt=dt)
-        self.loop.step(heat_in_kw=crac_kw, heat_out_kw=chiller_kw, dt=dt)
-        self.time += dt
-
-        registers[REG_ROOM_TEMP] = max(0, int(self.room.temperature * 10))
-        registers[REG_LOOP_TEMP] = max(0, int(self.loop.temperature * 10))
-        if not self.record_history:
-            return
-        self.history.append(
-            {
-                "time": self.time,
-                "room_temp": self.room.temperature,
-                "loop_temp": self.loop.temperature,
-                "crac_kw": crac_kw,
-                "chiller_kw": chiller_kw,
-            }
+        setpoint = (
+            registers.get(REG_CHILLER_SP, int(cfg.nominal_setpoint * 10)) / 10.0
         )
+        crac_on = pump_on and n_crac_on > 0
+        crac_capacity = cfg.crac_capacity_kw
+        chiller_capacity = cfg.chiller_capacity_kw
+        it_load = cfg.it_load_kw
+        room_temp = room.temperature
+        room_coupling = room.ambient_coupling
+        room_ambient = room.ambient_temperature
+        room_capacity = room.heat_capacity
+        loop_temp = loop.temperature
+        loop_coupling = loop.ambient_coupling
+        loop_ambient = loop.ambient_temperature
+        loop_capacity = loop.heat_capacity
+        history = self.history if self.record_history else None
+        time = self.time
+        remaining = dt
+        # The clamps below are ``min(cap, x)`` / ``max(0.0, x)`` written
+        # as comparisons: the same results, without a builtin call each.
+        while True:
+            sub = self.MAX_SUBSTEP
+            if remaining < sub:
+                sub = remaining
+            # CRAC heat transfer: proportional to the room/loop temperature
+            # approach, saturating at unit capacity; zero without the pump.
+            if crac_on:
+                per_unit = 10.0 * (room_temp - loop_temp)
+                if not per_unit < crac_capacity:
+                    per_unit = crac_capacity
+                if not per_unit > 0.0:
+                    per_unit = 0.0
+                crac_kw = per_unit * n_crac_on
+            else:
+                crac_kw = 0.0
+            # Chiller: drives the loop toward the setpoint, capacity-limited.
+            # A sabotaged (raised) setpoint makes the chiller idle while the
+            # loop heats up.
+            if loop_temp > setpoint:
+                chiller_kw = 150.0 * (loop_temp - setpoint)
+                if not chiller_kw < chiller_capacity:
+                    chiller_kw = chiller_capacity
+            else:
+                chiller_kw = 0.0
+            # ThermalNode.step for each node, operation for operation.
+            room_flow = room_coupling * (room_ambient - room_temp)
+            room_net = it_load - crac_kw + room_flow
+            room_temp += room_net * sub / room_capacity
+            loop_flow = loop_coupling * (loop_ambient - loop_temp)
+            loop_net = crac_kw - chiller_kw + loop_flow
+            loop_temp += loop_net * sub / loop_capacity
+            time += sub
+            if history is not None:
+                history.append(
+                    {
+                        "time": time,
+                        "room_temp": room_temp,
+                        "loop_temp": loop_temp,
+                        "crac_kw": crac_kw,
+                        "chiller_kw": chiller_kw,
+                    }
+                )
+            remaining -= sub
+            if not remaining > 1e-9:
+                break
+        room.temperature = room_temp
+        loop.temperature = loop_temp
+        self.time = time
+        registers[REG_ROOM_TEMP] = max(0, int(room_temp * 10))
+        registers[REG_LOOP_TEMP] = max(0, int(loop_temp * 10))
 
     def run(
         self, registers: Dict[int, int], duration: float, dt: float = 1.0
@@ -211,6 +245,15 @@ class CoolingPlant(PhysicalProcess):
     @property
     def alarm_threshold(self) -> float:
         return 35.0
+
+    def clone(self) -> "CoolingPlant":
+        """A copy with its own thermal nodes and history; the config is
+        shared (read-only)."""
+        twin = copy.copy(self)
+        twin.room = copy.copy(self.room)
+        twin.loop = copy.copy(self.loop)
+        twin.history = [dict(row) for row in self.history]
+        return twin
 
     def make_damage_model(self) -> DamageModel:
         """Overheat damage with the module defaults."""

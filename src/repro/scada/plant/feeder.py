@@ -25,6 +25,7 @@ register              meaning
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -140,6 +141,10 @@ class PowerFeeder(PhysicalProcess):
         registers[REG_SECTIONS_ON] = max(
             1, self.config.n_sections // 2
         )  # concentrate demand on half the sections
+
+    def clone(self) -> "PowerFeeder":
+        """A copy of the float state; the config is shared (read-only)."""
+        return copy.copy(self)
 
     @property
     def monitored_register(self) -> int:

@@ -10,6 +10,7 @@ into the same attack machinery.
 
 from __future__ import annotations
 
+import copy
 from abc import ABC, abstractmethod
 from typing import Dict
 
@@ -62,3 +63,16 @@ class PhysicalProcess(ABC):
     @abstractmethod
     def make_damage_model(self) -> DamageModel:
         """A damage model calibrated to this process's stress scale."""
+
+    def clone(self) -> "PhysicalProcess":
+        """An independent copy of the current process state.
+
+        The campaign simulator snapshots the healthy plant once per tick
+        and restores a replication's plant from a snapshot at sabotage,
+        so stepping a clone must never change the original (or the other
+        way round).  The default is ``copy.deepcopy(self)``; the built-in
+        plants override it with a copy of their float state that shares
+        the read-only config.  A subclass adding mutable state to one of
+        them must extend its ``clone`` to copy that state too.
+        """
+        return copy.deepcopy(self)

@@ -150,7 +150,7 @@ class SimulationEngine:
                 # The event stays queued for a later run() call.
                 self._now = horizon
                 return StopCondition("horizon", self._now, self._events_fired)
-            queue.pop()
+            queue.pop_peeked()
             self._now = event.time
             action = event.action
             if action is not None:

@@ -51,12 +51,19 @@ class Event:
 class EventQueue:
     """A stable min-heap of :class:`Event` objects.
 
+    Heap entries are ``(time, priority, sequence, event)`` tuples.
+    ``sequence`` is unique per queue, so the built-in tuple comparison
+    orders entries exactly as :class:`Event` ordering would and never
+    reaches the event itself: no ``Event.__lt__`` call on the hot path,
+    and full ``(time, priority)`` ties whose actions or payloads cannot
+    be compared are still ordered FIFO.
+
     The queue supports lazy cancellation: cancelled events stay in the heap
     but are transparently skipped by :meth:`pop` and :meth:`peek`.
     """
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, int, Event]] = []
         # Plain integer tie-break counter (cheaper than an
         # itertools.count round-trip on the scheduling hot path).
         self._next_sequence = 0
@@ -89,45 +96,49 @@ class EventQueue:
         Raises:
             ValueError: If ``time`` is negative or not finite.
         """
-        if not (time >= 0.0) or time != time or time == float("inf"):
+        if not (time >= 0.0) or time == float("inf"):
             raise ValueError(f"event time must be finite and >= 0, got {time!r}")
         sequence = self._next_sequence
         self._next_sequence = sequence + 1
-        event = Event(
-            time=time,
-            priority=priority,
-            sequence=sequence,
-            action=action,
-            payload=payload,
-        )
-        heapq.heappush(self._heap, event)
+        event = Event(time, priority, sequence, action, payload)
+        heapq.heappush(self._heap, (time, priority, sequence, event))
         self._live += 1
         return event
 
     def push(self, event: Event) -> Event:
         """Push an externally-constructed event, assigning its sequence."""
-        event.sequence = self._next_sequence
-        self._next_sequence += 1
-        heapq.heappush(self._heap, event)
+        sequence = self._next_sequence
+        self._next_sequence = sequence + 1
+        event.sequence = sequence
+        entry = (event.time, event.priority, sequence, event)
+        heapq.heappush(self._heap, entry)
         self._live += 1
         return event
 
-    def _drop_cancelled(self) -> None:
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-
     def peek(self) -> Optional[Event]:
         """Return the next live event without removing it, or ``None``."""
-        self._drop_cancelled()
-        return self._heap[0] if self._heap else None
+        heap = self._heap
+        while heap:
+            event = heap[0][3]
+            if not event.cancelled:
+                return event
+            heapq.heappop(heap)
+        return None
+
+    def pop_peeked(self) -> None:
+        """Remove the live head that :meth:`peek` has just returned.
+
+        Saves the event loop a second scan for cancelled entries; only
+        valid directly after a :meth:`peek` that returned an event.
+        """
+        heapq.heappop(self._heap)
+        self._live -= 1
 
     def pop(self) -> Optional[Event]:
         """Remove and return the next live event, or ``None`` if empty."""
-        self._drop_cancelled()
-        if not self._heap:
-            return None
-        event = heapq.heappop(self._heap)
-        self._live -= 1
+        event = self.peek()
+        if event is not None:
+            self.pop_peeked()
         return event
 
     def cancel(self, event: Event) -> None:

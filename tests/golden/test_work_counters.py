@@ -25,8 +25,11 @@ switched off, a SAN batch split into one-lane units.  A pure speed
 change leaves every count alone.
 
 Each test starts from an empty healthy-trajectory cache, so no count
-depends on which test ran before.  ``n_workers=2`` fixes the chunking
-(``exec.chunks``), which otherwise follows the host's core count.
+depends on which test ran before.  ``n_workers=2`` fixes the session
+runner's chunking (``exec.chunks``); the serial runners each scenario
+unit of ``suite12`` nests default to one worker on every host (before
+2.5.1 they took the host's core count, so that count held only on a
+2-core host).
 """
 
 from collections import OrderedDict
@@ -88,7 +91,7 @@ SUITE_COUNTERS = {
     "campaign.ticks_elided": 71_875,
     "campaign.ticks_executed": 377,
     "campaign.trajectory_builds": 5,
-    "exec.chunks": 98,
+    "exec.chunks": 54,
     "exec.dispatches": 13,
     "exec.units": 112,
 }

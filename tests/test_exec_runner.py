@@ -1,10 +1,14 @@
 """Tests for the ExperimentRunner and its execution backends."""
 
+import os
 import time
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
+import repro.attacks.campaign as campaign_module
+from repro.api import Session
 from repro.exec import (
     ExperimentRunner,
     WorkUnit,
@@ -168,3 +172,45 @@ class TestReplicationDeterminism:
             _scaled, 4, seed=3, common_args=(1.0,)
         )
         assert tens == [10.0 * x for x in ones]
+
+
+class TestSerialWorkerDefault:
+    """``serial`` ignores the pool width, so its default must not follow
+    the host's core count into the chunking and the telemetry."""
+
+    @staticmethod
+    def serial_metrics(monkeypatch, cores, **options):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        monkeypatch.setattr(
+            campaign_module, "_trajectory_cache", OrderedDict()
+        )
+        session = Session(backend="serial", telemetry=True, **options)
+        result = session.campaign("smoke", 64, seed=3)
+        metrics = result.telemetry.metrics
+        counters, gauges = metrics["counters"], metrics["gauges"]
+        return session.runner.n_workers, counters, gauges
+
+    def test_default_is_one_worker_on_any_host(self, monkeypatch):
+        few = self.serial_metrics(monkeypatch, 2)
+        many = self.serial_metrics(monkeypatch, 64)
+        assert few == many
+        n_workers, counters, gauges = few
+        assert n_workers == 1
+        assert gauges["exec.n_workers"] == 1
+        assert counters["exec.units"] == 64
+        assert counters["exec.chunks"] == 4  # ceil(64 / (4 * 1)) per chunk
+
+    def test_explicit_width_is_reported_as_given(self, monkeypatch):
+        n_workers, counters, gauges = self.serial_metrics(
+            monkeypatch, 64, n_workers=2
+        )
+        assert n_workers == 2
+        assert gauges["exec.n_workers"] == 2
+        assert counters["exec.chunks"] == 8
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_pool_backends_default_to_host_cores(self, monkeypatch, backend):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert ExperimentRunner(backend).n_workers == 64
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert ExperimentRunner(backend).n_workers == 1

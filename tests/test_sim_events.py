@@ -111,3 +111,72 @@ class TestQueueBasics:
 
     def test_event_fire_without_action_is_noop(self):
         Event(time=1.0).fire()  # must not raise
+
+
+class _Incomparable(Event):
+    """An event whose comparisons fail: the queue must never call them."""
+
+    def __lt__(self, other):
+        raise AssertionError("EventQueue compared two events")
+
+    __le__ = __gt__ = __ge__ = __eq__ = __lt__
+
+
+class TestTupleKeyedHeap:
+    def test_push_interleaves_with_schedule(self):
+        q = EventQueue()
+        q.schedule(2.0, payload="scheduled@2")
+        pushed_early = q.push(Event(time=1.0, payload="pushed@1"))
+        q.schedule(1.0, payload="scheduled@1")
+        q.push(Event(time=1.0, priority=-1, payload="pushed@1,urgent"))
+        q.push(Event(time=2.0, payload="pushed@2"))
+        assert pushed_early.sequence == 1
+        assert len(q) == 5
+        assert [q.pop().payload for _ in range(5)] == [
+            "pushed@1,urgent",
+            "pushed@1",
+            "scheduled@1",
+            "scheduled@2",
+            "pushed@2",
+        ]
+
+    def test_push_reassigns_sequence(self):
+        q = EventQueue()
+        q.schedule(1.0)
+        event = Event(time=1.0, sequence=-5)
+        assert q.push(event) is event
+        assert event.sequence == 1
+
+    def test_cancelled_pushed_event_is_skipped(self):
+        q = EventQueue()
+        pushed = q.push(Event(time=0.5))
+        kept = q.schedule(1.0)
+        q.cancel(pushed)
+        assert len(q) == 1
+        assert q.pop() is kept
+        assert q.pop() is None
+
+    def test_full_ties_with_incomparable_actions_and_payloads(self):
+        q = EventQueue()
+        payloads = [{"i": i} for i in range(6)]  # dicts do not order
+        for i, payload in enumerate(payloads):
+            q.schedule(
+                3.0, action=lambda ev, i=i: None, priority=1, payload=payload
+            )
+        assert [q.pop().payload for _ in range(6)] == payloads
+
+    def test_never_compares_events(self):
+        q = EventQueue()
+        events = [_Incomparable(time=1.0, priority=0) for _ in range(8)]
+        for index, event in enumerate(events):
+            q.push(event)
+            q.schedule(1.0, payload=index)
+        popped = [q.pop() for _ in range(16)]
+        assert all(got is want for got, want in zip(popped[0::2], events))
+        assert [event.payload for event in popped[1::2]] == list(range(8))
+
+    def test_events_stay_orderable(self):
+        early = Event(time=1.0, priority=0, sequence=5)
+        late = Event(time=1.0, priority=0, sequence=6)
+        assert early < late
+        assert sorted([late, early]) == [early, late]
