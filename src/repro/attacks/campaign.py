@@ -614,28 +614,43 @@ class AttackCampaign:
         return min(1.0, base)
 
     def _propagation_plans(
-        self, host: str
+        self,
+        host: str,
+        memo: Optional[Dict[Tuple[int, str], float]] = None,
     ) -> List[Tuple[str, str, float, float]]:
-        """``(vector, target, rate, p)`` lateral-movement plans from ``host``."""
-        return [
-            (
-                vector.name,
-                target,
-                vector.rate,
-                self._propagation_probability(vector, target),
-            )
-            for vector in self.threat.vectors
-            for target in vector.targets(host, self.network)
-        ]
+        """``(vector, target, rate, p)`` lateral-movement plans from ``host``.
+
+        ``p`` depends on the vector and the target only, so
+        :meth:`_compile_tables` shares one ``memo`` (keyed by vector
+        index and target) across all source hosts.
+        """
+        if memo is None:
+            memo = {}
+        plans: List[Tuple[str, str, float, float]] = []
+        for index, vector in enumerate(self.threat.vectors):
+            for target in vector.targets(host, self.network):
+                p = memo.get((index, target))
+                if p is None:
+                    p = self._propagation_probability(vector, target)
+                    memo[index, target] = p
+                plans.append((vector.name, target, vector.rate, p))
+        return plans
 
     def _reprogram_plans(
-        self, host: str, plcs: List[str]
+        self,
+        host: str,
+        plcs: List[str],
+        memo: Optional[Dict[str, float]] = None,
     ) -> List[Tuple[str, float]]:
         """``(plc, p)`` over flow-allowed PLCs, engineering tool folded in.
 
         Stuxnet drove the PLC through the engineering suite: a tool
-        variant on ``host`` scales the reprogram probability.
+        variant on ``host`` scales the reprogram probability.  The
+        per-PLC probability before that scaling is cached in ``memo``
+        (shared across hosts by :meth:`_compile_tables`).
         """
+        if memo is None:
+            memo = {}
         tool = self.network.host(host).variant_of(
             ComponentKind.ENGINEERING_TOOL
         )
@@ -650,7 +665,9 @@ class AttackCampaign:
         for plc_name in plcs:
             if not self.network.flow_allowed(host, plc_name, "modbus"):
                 continue
-            p = self._reprogram_probability(plc_name)
+            p = memo.get(plc_name)
+            if p is None:
+                p = memo[plc_name] = self._reprogram_probability(plc_name)
             if tool_factor is not None:
                 p *= tool_factor
             plans.append((plc_name, p))
@@ -690,6 +707,8 @@ class AttackCampaign:
             return self._tables
         computers = [h.name for h in self.network.hosts if h.is_computer]
         plcs = [h.name for h in self.network.hosts_with_role(HostRole.PLC)]
+        propagation_memo: Dict[Tuple[int, str], float] = {}
+        reprogram_memo: Dict[str, float] = {}
         self._tables = _CampaignTables(
             entry=[
                 (h, self._entry_probability(h))
@@ -699,8 +718,14 @@ class AttackCampaign:
             detection_noise={
                 h: self._detection_noise(h) for h in self.network.host_names
             },
-            propagation={h: self._propagation_plans(h) for h in computers},
-            reprogram={h: self._reprogram_plans(h, plcs) for h in computers},
+            propagation={
+                h: self._propagation_plans(h, propagation_memo)
+                for h in computers
+            },
+            reprogram={
+                h: self._reprogram_plans(h, plcs, reprogram_memo)
+                for h in computers
+            },
             spoof=self._spoof_probability(),
             plcs=plcs,
             n_hosts=len(computers),

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from repro.bayes.cpt import CPT
 from repro.bayes.inference import VariableElimination
 from repro.bayes.network import BayesianNetwork
@@ -80,25 +78,48 @@ def attack_graph_from_topology(
         ValueError: If the topology has a cycle or probabilities are
             out of range.
     """
-    graph = nx.DiGraph()
+    # Insertion-ordered adjacency: ``succ[u][v]`` and ``pred[v][u]`` hold
+    # the u->v exploit probability; a repeated edge keeps its place and
+    # takes the later probability.  ``pred`` lists every host, in order
+    # of first appearance.
+    succ: Dict[str, Dict[str, float]] = {}
+    pred: Dict[str, Dict[str, float]] = {}
     for source, target, prob in reachability:
         if not 0.0 <= prob <= 1.0:
             raise ValueError(
                 f"exploit probability {prob} for edge {source}->{target} "
                 "outside [0, 1]"
             )
-        graph.add_edge(source, target, probability=prob)
+        pred.setdefault(source, {})
+        pred.setdefault(target, {})[source] = prob
+        succ.setdefault(source, {})[target] = prob
     for host in entry_priors:
-        graph.add_node(host)
-    if not nx.is_directed_acyclic_graph(graph):
+        pred.setdefault(host, {})
+
+    # Kahn's algorithm, one generation at a time: the zero-in-degree
+    # hosts in insertion order, then each freed successor in the order
+    # its last predecessor lists it.
+    indegree = {host: len(preds) for host, preds in pred.items() if preds}
+    generation = [host for host, preds in pred.items() if not preds]
+    order: List[str] = []
+    while generation:
+        order.extend(generation)
+        freed: List[str] = []
+        for host in generation:
+            for child in succ.get(host, ()):
+                indegree[child] -= 1
+                if not indegree[child]:
+                    freed.append(child)
+                    del indegree[child]
+        generation = freed
+    if indegree:
         raise ValueError(
             "attack topology has a cycle; compromise must be monotone"
         )
 
-    order = list(nx.topological_sort(graph))
     network = BayesianNetwork("attack-graph")
     for host in order:
-        predecessors = list(graph.predecessors(host))
+        predecessors = list(pred[host])
         if not predecessors:
             prior = entry_priors.get(host)
             if prior is None:
@@ -112,10 +133,7 @@ def attack_graph_from_topology(
                 CPT.root(host, ("false", "true"), (1.0 - prior, prior))
             )
         else:
-            activation = {
-                pred: graph.edges[pred, host]["probability"]
-                for pred in predecessors
-            }
+            activation = dict(pred[host])
             extra_prior = entry_priors.get(host, 0.0)
             effective_leak = 1.0 - (1.0 - leak) * (1.0 - extra_prior)
             network.add_node(

@@ -19,9 +19,7 @@ simulator.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
-
-import networkx as nx
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.attacks.profiles import ThreatProfile
 from repro.attacktree.nodes import AndNode, LeafAttack, OrNode, SandNode
@@ -293,23 +291,28 @@ def bayesian_attack_graph_for(
         if h.is_computer
         and (h.usb_ports or network.zone_of(h.name) == Zone.ENTERPRISE)
     ]
-    # BFS distance from any entry host, over usable links.
-    usable = nx.Graph()
-    usable.add_nodes_from(network.host_names)
+    # BFS distance from any entry host, over usable links (undirected,
+    # neighbours in link-insertion order).
+    usable: Dict[str, Dict[str, None]] = {h: {} for h in network.host_names}
+
+    def link(a: str, b: str) -> None:
+        usable[a][b] = None
+        usable[b][a] = None
+
     for vector in threat.vectors:
         for host in network.hosts:
             for target in vector.targets(host.name, network):
-                usable.add_edge(host.name, target, key=vector.name)
+                link(host.name, target)
     # PLC links (reprogramming flows).
     for plc in network.hosts_with_role(HostRole.PLC):
         for other in network.host_names:
             if other != plc.name and network.flow_allowed(
                 other, plc.name, "modbus"
             ):
-                usable.add_edge(other, plc.name)
+                link(other, plc.name)
 
     distance: Dict[str, int] = {}
-    frontier = [h for h in entry_hosts if h in usable]
+    frontier = list(entry_hosts)
     for h in frontier:
         distance[h] = 0
     depth = 0
@@ -317,14 +320,21 @@ def bayesian_attack_graph_for(
         depth += 1
         next_frontier: List[str] = []
         for node in frontier:
-            for neighbor in usable.neighbors(node):
+            for neighbor in usable[node]:
                 if neighbor not in distance:
                     distance[neighbor] = depth
                     next_frontier.append(neighbor)
         frontier = next_frontier
 
+    # Each undirected link once, from the first endpoint in host order.
+    links: List[Tuple[str, str]] = []
+    seen: Set[str] = set()
+    for a, neighbors in usable.items():
+        links.extend((a, b) for b in neighbors if b not in seen)
+        seen.add(a)
+
     edges: List[Tuple[str, str, float]] = []
-    for a, b in usable.edges:
+    for a, b in links:
         if a not in distance or b not in distance:
             continue
         if distance[a] == distance[b]:

@@ -8,11 +8,10 @@ network for which hosts an infected node can reach with a given vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
-
-import networkx as nx
 
 from repro.scada.components import Host, HostRole
 
@@ -56,11 +55,15 @@ class SCADANetwork:
     """The monitoring-and-control network.
 
     Hosts are placed into zones and linked; links carry service labels.
+    The links are an adjacency map, ``host -> {neighbour: labels}``, with
+    both endpoints sharing one label set.  Neighbours iterate in
+    link-insertion order, which every propagation plan and campaign
+    record depends on.
     """
 
     def __init__(self, name: str = "scada") -> None:
         self.name = name
-        self._graph = nx.Graph()
+        self._adj: Dict[str, Dict[str, Set[str]]] = {}
         self._hosts: Dict[str, Host] = {}
         self._zones: Dict[str, Zone] = {}
         self._rules: List[FirewallRule] = []
@@ -85,7 +88,7 @@ class SCADANetwork:
             raise ValueError(f"duplicate host {host.name!r}")
         self._hosts[host.name] = host
         self._zones[host.name] = zone
-        self._graph.add_node(host.name)
+        self._adj[host.name] = {}
         return host
 
     def host(self, name: str) -> Host:
@@ -111,13 +114,18 @@ class SCADANetwork:
     def connect(self, a: str, b: str, services: Sequence[str] = ("*",)) -> None:
         """Link two hosts, carrying the given service labels.
 
+        Re-linking a linked pair replaces the labels and keeps the link's
+        place in both hosts' neighbour order.
+
         Raises:
             KeyError: If either host is unknown.
         """
         if a not in self._hosts or b not in self._hosts:
             missing = a if a not in self._hosts else b
             raise KeyError(f"unknown host {missing!r}")
-        self._graph.add_edge(a, b, services=set(services))
+        labels = set(services)
+        self._adj[a][b] = labels
+        self._adj[b][a] = labels
 
     def allow(self, source: Zone, destination: Zone, service: str = "*") -> None:
         """Add a (symmetric-use) firewall allow rule for a zone crossing."""
@@ -125,9 +133,7 @@ class SCADANetwork:
 
     def link_services(self, a: str, b: str) -> Set[str]:
         """Service labels on the a-b link (empty set when unlinked)."""
-        if self._graph.has_edge(a, b):
-            return set(self._graph.edges[a, b]["services"])
-        return set()
+        return set(self._adj.get(a, {}).get(b, ()))
 
     def flow_allowed(self, source: str, destination: str, service: str) -> bool:
         """Whether a direct flow is possible.
@@ -136,7 +142,7 @@ class SCADANetwork:
         ``"*"``), and — when the hosts are in different zones — some
         firewall rule must whitelist the crossing.
         """
-        services = self.link_services(source, destination)
+        services = self._adj.get(source, {}).get(destination)
         if not services:
             return False
         if "*" not in services and service not in services:
@@ -147,15 +153,34 @@ class SCADANetwork:
             return True
         return any(r.permits(src_zone, dst_zone, service) for r in self._rules)
 
+    def _links(self, name: str) -> Dict[str, Set[str]]:
+        """Neighbour map of ``name``.
+
+        Raises:
+            KeyError: If the host is unknown.
+        """
+        try:
+            return self._adj[name]
+        except KeyError:
+            raise KeyError(f"unknown host {name!r}") from None
+
     def neighbors(self, name: str) -> List[str]:
-        """Directly linked hosts."""
-        return list(self._graph.neighbors(name))
+        """Directly linked hosts, in link-insertion order.
+
+        Raises:
+            KeyError: If the host is unknown.
+        """
+        return list(self._links(name))
 
     def reachable_targets(self, source: str, service: str) -> List[str]:
-        """Hosts one hop away reachable with ``service`` from ``source``."""
+        """Hosts one hop away reachable with ``service`` from ``source``.
+
+        Raises:
+            KeyError: If ``source`` is unknown.
+        """
         return [
             other
-            for other in self._graph.neighbors(source)
+            for other in self._links(source)
             if self.flow_allowed(source, other, service)
         ]
 
@@ -175,11 +200,29 @@ class SCADANetwork:
         return pairs
 
     def shortest_zone_path(self, source: str, target: str) -> Optional[List[str]]:
-        """Shortest link path between two hosts (ignoring firewalls)."""
-        try:
-            return nx.shortest_path(self._graph, source, target)
-        except nx.NetworkXNoPath:
-            return None
+        """Shortest link path between two hosts (ignoring firewalls).
+
+        Returns ``None`` when no path exists.
+
+        Raises:
+            KeyError: If either host is unknown.
+        """
+        for name in (source, target):
+            self._links(name)
+        parent: Dict[str, Optional[str]] = {source: None}
+        queue = deque([source])
+        while queue:
+            node = queue.popleft()
+            if node == target:
+                path = [node]
+                while parent[path[-1]] is not None:
+                    path.append(parent[path[-1]])
+                return path[::-1]
+            for neighbor in self._links(node):
+                if neighbor not in parent:
+                    parent[neighbor] = node
+                    queue.append(neighbor)
+        return None
 
     def validate(self) -> List[str]:
         """Sanity-check the topology; returns a list of warnings.
@@ -188,7 +231,7 @@ class SCADANetwork:
         """
         warnings: List[str] = []
         for host in self._hosts.values():
-            if self._graph.degree(host.name) == 0:
+            if not self._adj[host.name]:
                 warnings.append(f"host {host.name!r} has no links")
             missing = host.missing_slots()
             if missing:

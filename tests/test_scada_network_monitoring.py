@@ -105,6 +105,79 @@ class TestNetworkTopology:
     def test_shortest_zone_path(self, net):
         assert net.shortest_zone_path("a", "c") == ["a", "b", "c"]
 
+    def test_shortest_zone_path_to_self(self, net):
+        assert net.shortest_zone_path("b", "b") == ["b"]
+
+    def test_shortest_zone_path_none_without_path(self, net):
+        net.add_host(Host("d", HostRole.PLC), Zone.CONTROL)
+        assert net.shortest_zone_path("a", "d") is None
+
+    def test_shortest_zone_path_takes_fewest_hops(self, net):
+        net.add_host(Host("d", HostRole.HMI_STATION), Zone.SUPERVISORY)
+        net.connect("a", "d")
+        net.connect("d", "b")
+        net.connect("a", "c")
+        assert net.shortest_zone_path("a", "c") == ["a", "c"]
+        assert net.shortest_zone_path("d", "c") in (
+            ["d", "a", "c"], ["d", "b", "c"]
+        )
+
+    def test_neighbors_follow_link_insertion_order(self):
+        net = SCADANetwork()
+        for name in "hxyz":
+            net.add_host(Host(name, HostRole.HMI_STATION), Zone.SUPERVISORY)
+        net.connect("h", "z")
+        net.connect("y", "h")
+        net.connect("h", "x")
+        net.connect("z", "y")
+        assert net.neighbors("h") == ["z", "y", "x"]
+        assert net.neighbors("y") == ["h", "z"]
+        assert net.neighbors("z") == ["h", "y"]
+        assert net.neighbors("x") == ["h"]
+
+    def test_reconnect_keeps_position_and_replaces_labels(self):
+        net = SCADANetwork()
+        for name in "hxy":
+            net.add_host(Host(name, HostRole.HMI_STATION), Zone.SUPERVISORY)
+        net.connect("h", "x", ["smb"])
+        net.connect("h", "y", ["smb"])
+        net.connect("x", "h", ["modbus"])
+        assert net.neighbors("h") == ["x", "y"]
+        assert net.link_services("h", "x") == {"modbus"}
+        assert net.link_services("x", "h") == {"modbus"}
+        assert net.flow_allowed("h", "x", "modbus")
+        assert not net.flow_allowed("h", "x", "smb")
+
+    def test_link_services_returns_a_copy(self, net):
+        net.link_services("a", "b").add("modbus")
+        net.link_services("b", "a").clear()
+        assert net.link_services("a", "b") == {"smb"}
+        net.allow(Zone.ENTERPRISE, Zone.SUPERVISORY, "*")
+        assert net.flow_allowed("a", "b", "smb")
+        assert not net.flow_allowed("a", "b", "modbus")
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            lambda net: net.neighbors("zz"),
+            lambda net: net.reachable_targets("zz", "smb"),
+            lambda net: net.shortest_zone_path("zz", "a"),
+            lambda net: net.shortest_zone_path("a", "zz"),
+            lambda net: net.shortest_zone_path("zz", "zz"),
+        ],
+        ids=["neighbors", "reachable_targets", "path_source", "path_target",
+             "path_self"],
+    )
+    def test_unknown_host_raises_key_error_naming_it(self, net, query):
+        with pytest.raises(KeyError, match="zz"):
+            query(net)
+
+    def test_unknown_host_has_no_links_or_flows(self, net):
+        assert net.link_services("zz", "a") == set()
+        assert net.link_services("a", "zz") == set()
+        assert net.flow_allowed("zz", "a", "smb") is False
+        assert net.flow_allowed("a", "zz", "smb") is False
+
     def test_validate_flags_isolated_hosts(self):
         net = SCADANetwork()
         net.add_host(Host("lonely", HostRole.CORPORATE_PC), Zone.ENTERPRISE)
