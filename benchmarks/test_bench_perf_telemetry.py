@@ -1,17 +1,19 @@
-"""Telemetry overhead benchmark — the observability cost gate.
+"""Telemetry overhead benchmark — the observability cost, timed.
 
 ``perf_telemetry_overhead`` re-runs exactly the suite that
 ``perf_suite_run`` (benchmarks/test_bench_perf_campaign.py) times —
 same three scenarios, same seed — but with a live
 :class:`repro.telemetry.Telemetry` activated around it, the way
-``Session(telemetry=True)`` runs it.  ``scripts/ci.sh`` gates the
-enabled/disabled ratio as interleaved pairs
-(``python -m repro.bench.overhead --workload telemetry``) and fails
-when the enabled path costs more than the tolerated few percent.
+``Session(telemetry=True)`` runs it.  Comparing the two timings is for
+manual inspection only: on a shared box their run-to-run noise is wider
+than the few percent telemetry costs.  What telemetry costs is gated as
+counts instead: tier 1 pins every span path's call count
+(``tests/golden/test_work_counters.py``), and a disabled run makes the
+same ``trace()`` calls.
 
-``test_telemetry_overhead_records_identical`` pins the stronger claim
-the overhead gate rides on: telemetry must never perturb the records —
-the instrumented run's tables are bit-identical to the plain run's.
+``test_telemetry_overhead_records_identical`` pins the stronger claim:
+telemetry must never perturb the records — the instrumented run's
+tables are bit-identical to the plain run's.
 """
 
 from __future__ import annotations

@@ -1,16 +1,18 @@
 #!/usr/bin/env bash
 # Single CI gate: tier-1 unit suite, perfbench's own tests, scenario
 # tier, paper claims and perf parity checks, static-analysis lint,
-# chaos tier, facade selftest, telemetry + retry overhead.
+# chaos tier, facade selftest, perfbench workloads' correctness.
 #
-#   scripts/ci.sh                 # full gate
-#   SKIP_BENCH=1 scripts/ci.sh    # fast gate (no overhead timings)
+#   scripts/ci.sh
 #
-# Performance regressions are gated without wall-clock timing: tier 1
-# pins the deterministic work counters of the three BENCHMARK.json
+# No stage's verdict depends on wall time.  Performance regressions are
+# gated by counts instead: tier 1 pins the work
+# counters and the span call counts of the three BENCHMARK.json
 # workloads (tests/golden/test_work_counters.py), so a change that does
 # more work — a cache that stops hitting, a scenario that falls back
-# from its batch engine — fails the first stage.
+# from its batch engine, a span in a per-tick loop, an armed retry
+# policy that re-runs a unit — fails the first stage.  Wall time is
+# measured by perfbench (`--trace 1` also reports telemetry's share).
 #
 # The scenario stage runs the full built-in catalog: the 12-built-in
 # distributional-identity checks (scalar vs mega-batch) and the
@@ -26,12 +28,9 @@
 # injected faults are bit-identical to records without, on every
 # backend.
 #
-# The overhead gates (`python -m repro.bench.overhead`) time the
-# perf_suite_run workload with telemetry (then a retry policy) off vs
-# on as interleaved pairs and fail when the median on/off ratio
-# exceeds the 2% budget — paired rounds, because separately-timed
-# medians cannot resolve 2% on a noisy shared box.  SKIP_BENCH=1
-# skips only these two gates.
+# The perfbench stage runs each BENCHMARK.json workload once, briefly,
+# for its own correctness checks (pinned digests and invariants); its
+# times are not read.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -75,15 +74,25 @@ echo
 echo "== repro.api selftest =="
 python -m repro.api --selftest
 
-if [[ "${SKIP_BENCH:-0}" != "1" ]]; then
-    echo
-    echo "== telemetry overhead gate (<= 2%) =="
-    python -m repro.bench.overhead --workload telemetry
-
-    echo
-    echo "== retry-policy overhead gate (<= 2%) =="
-    python -m repro.bench.overhead --workload retry
-fi
+echo
+echo "== perfbench workloads (correctness only) =="
+# Passes when the run's last line, its JSON result, reads
+# "correct": true and "failed": 0; prints the whole run otherwise.
+check_result='
+import json, sys
+lines = sys.stdin.read().splitlines()
+result = json.loads(lines[-1])
+print("correct:", result["correct"], "failed:", result["failed"])
+if result["correct"] is not True or result["failed"] != 0:
+    print("\n".join(lines))
+    sys.exit(1)
+'
+workloads=$(python -c 'import json; print(*(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
+for workload in $workloads; do
+    echo "-- $workload"
+    python perfbench/run.py --workload "$workload" --seed 3 --seconds 1 \
+        --trace 0 | python -c "$check_result"
+done
 
 echo
 echo "ci.sh: all gates passed"

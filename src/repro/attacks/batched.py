@@ -145,9 +145,7 @@ def _lower_campaign(campaign: AttackCampaign) -> _CampaignArrays:
     arrays.n_nodes = len(nodes)
     arrays.n_hosts = sum(1 for h in network.hosts if h.is_computer)
 
-    def detect_p(host: str) -> float:
-        p = tables.detection_noise.get(host)
-        return campaign._detection_noise(host) if p is None else p
+    detect_p = tables.detection_noise
 
     def escalation_p(host: str) -> float:
         p = tables.escalation.get(host)
@@ -162,7 +160,7 @@ def _lower_campaign(campaign: AttackCampaign) -> _CampaignArrays:
         if eff > 0:
             entry_idx.append(index[host])
             entry_scale.append(1.0 / eff)
-        noisy = threat.entry_rate * (1.0 - p) * detect_p(host)
+        noisy = threat.entry_rate * (1.0 - p) * detect_p[host]
         if noisy > 0:
             entry_noise_scale.append(1.0 / noisy)
     arrays.entry_idx = np.asarray(entry_idx, dtype=np.intp)
@@ -186,7 +184,7 @@ def _lower_campaign(campaign: AttackCampaign) -> _CampaignArrays:
         if rate > 0:
             root_idx.append(i)
             root_scale.append(1.0 / rate)
-        noisy = threat.escalation_rate * (1.0 - p_root) * detect_p(host)
+        noisy = threat.escalation_rate * (1.0 - p_root) * detect_p[host]
         if noisy > 0:
             esc_noise_idx.append(i)
             esc_noise_scale.append(1.0 / noisy)
@@ -211,7 +209,7 @@ def _lower_campaign(campaign: AttackCampaign) -> _CampaignArrays:
                 edge_src.append(i)
                 edge_tgt.append(j)
                 edge_scale.append(1.0 / eff)
-            noisy = rate * (1.0 - p) * detect_p(target)
+            noisy = rate * (1.0 - p) * detect_p[target]
             if noisy > 0:
                 edge_noise_src.append(i)
                 edge_noise_tgt.append(j)
@@ -668,9 +666,3 @@ def simulate_batch_rows(
     backends): one unit advances ``size`` lanes on its own generator."""
     return engine.run_rows(size, rng)
 
-
-def simulate_batch_outcomes(
-    engine: CampaignBatchEngine, size: int, rng: np.random.Generator
-) -> List[AttackOutcome]:
-    """Module-level outcome-returning batch unit body (picklable)."""
-    return engine.run_outcomes(size, rng)

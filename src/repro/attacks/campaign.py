@@ -837,10 +837,9 @@ class AttackCampaign:
             now: float, rate: float, p_success: float, host: str
         ) -> None:
             """Failed attempts against ``host`` may be noticed."""
-            p_detect = tables.detection_noise.get(host)
-            if p_detect is None:
-                p_detect = self._detection_noise(host)
-            noisy_rate = rate * (1.0 - p_success) * p_detect
+            noisy_rate = (
+                rate * (1.0 - p_success) * tables.detection_noise[host]
+            )
             if noisy_rate <= 0:
                 return
             t = now + rng.exponential(1.0 / noisy_rate)

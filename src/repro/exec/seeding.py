@@ -9,8 +9,7 @@ function of ``(root seed, replication index)`` — it cannot depend on the
 backend, the number of workers, or how units are chunked across them.
 
 This is the ``SeedSequence.spawn`` discipline recommended by NumPy for
-parallel Monte-Carlo work; see also :class:`repro.sim.rng.RandomStreams`,
-which applies the same idea to *named* subsystem streams.
+parallel Monte-Carlo work.
 
 Spawning one ``SeedSequence`` per replication and hashing it into a
 ``PCG64`` costs a few microseconds of Python per child.  For the

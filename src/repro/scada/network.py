@@ -189,13 +189,16 @@ class SCADANetwork:
     ) -> List[Tuple[str, str]]:
         """(source, target) pairs the attacker can currently exercise.
 
-        Targets already compromised are excluded.
+        Targets already compromised are excluded.  Sources come in
+        first-seen input order, so the list does not depend on string
+        hashing.
         """
-        compromised = set(compromised)
+        sources = list(dict.fromkeys(compromised))
+        owned = set(sources)
         pairs: List[Tuple[str, str]] = []
-        for source in compromised:
+        for source in sources:
             for target in self.reachable_targets(source, service):
-                if target not in compromised:
+                if target not in owned:
                     pairs.append((source, target))
         return pairs
 

@@ -1,30 +1,28 @@
 """Discrete-event simulation kernel.
 
-This package provides the simulation substrate shared by every stochastic
-model in the library: the stochastic-activity-network solver
-(:mod:`repro.san`), the GSPN simulator (:mod:`repro.petri.gspn`) and the
-attack-campaign simulator (:mod:`repro.attacks.campaign`).
+This package is the event loop of the attack-campaign simulator
+(:mod:`repro.attacks.campaign`).  The stochastic-activity-network solver
+(:mod:`repro.san`) and the GSPN simulator (:mod:`repro.petri.gspn`) run
+their own compiled event loops.
 
-The kernel is deliberately small and fully deterministic given a seed:
+The kernel draws no random numbers itself: callers schedule events at
+times drawn from the generator they were given, so a run is
+deterministic given its seed.  It provides:
 
 * :class:`~repro.sim.engine.SimulationEngine` — the event loop.
 * :class:`~repro.sim.events.Event` / :class:`~repro.sim.events.EventQueue` —
   a stable priority queue of timestamped events.
-* :class:`~repro.sim.rng.RandomStreams` — independent, reproducible random
-  streams derived from a single root seed.
 * :class:`~repro.sim.trace.TraceRecorder` — timestamped trace of simulation
   observations for post-hoc indicator computation.
 """
 
 from repro.sim.engine import SimulationEngine, StopCondition
 from repro.sim.events import Event, EventQueue
-from repro.sim.rng import RandomStreams
 from repro.sim.trace import TraceRecord, TraceRecorder
 
 __all__ = [
     "Event",
     "EventQueue",
-    "RandomStreams",
     "SimulationEngine",
     "StopCondition",
     "TraceRecord",

@@ -24,6 +24,13 @@ hitting, a scenario that falls back from its batch engine, tick elision
 switched off, a SAN batch split into one-lane units.  A pure speed
 change leaves every count alone.
 
+The same runs also pin ``{span path: call count}``.  That count is what
+telemetry costs: a disabled run makes the same ``trace()`` calls, each
+one context-variable read, so a span added to a per-tick or per-event
+loop fails here whether or not telemetry is on.  And a suite run with an
+armed ``RetryPolicy`` and no faults must do exactly the unarmed run's
+work, on ``serial`` and on ``thread``.
+
 Each test starts from an empty healthy-trajectory cache, so no count
 depends on which test ran before.  ``n_workers=2`` fixes the session
 runner's chunking (``exec.chunks``); the serial runners each scenario
@@ -41,7 +48,7 @@ from repro.api import Session
 from repro.attacks.campaign import AttackCampaign, CampaignConfig
 from repro.attacks.profiles import stuxnet_like
 from repro.diversity.catalog import default_catalog
-from repro.exec import ExperimentRunner
+from repro.exec import ExperimentRunner, RetryPolicy
 from repro.san.simulator import SANSimulator
 from repro.scada.topologies import scope_cooling_topology
 from repro.scenarios import SCENARIOS
@@ -84,6 +91,12 @@ def counters(snapshot):
     return snapshot.metrics["counters"]
 
 
+def span_counts(snapshot):
+    return {
+        path: node["count"] for path, node in snapshot.span_paths().items()
+    }
+
+
 SUITE_COUNTERS = {
     "campaign.healthy_ticks_scanned": 744,
     "campaign.replications": 888,
@@ -94,6 +107,26 @@ SUITE_COUNTERS = {
     "exec.chunks": 54,
     "exec.dispatches": 13,
     "exec.units": 112,
+}
+
+_SCENARIO = "session.run/suite.run/exec.map/scenario.execute"
+SUITE_SPANS = {
+    "session.run": 1,
+    "session.run/suite.run": 1,
+    "session.run/suite.run/exec.map": 1,
+    _SCENARIO: 12,
+    f"{_SCENARIO}/exec.map": 12,
+    f"{_SCENARIO}/exec.map/measurement.run": 100,
+    f"{_SCENARIO}/exec.map/measurement.run/campaign.replication": 888,
+}
+
+#: A pool backend runs the scenario units in chunks, one span each.
+THREAD_SUITE_SPANS = {
+    "session.run/suite.run/exec.map/exec.chunk": 6,
+    **{
+        path.replace("exec.map/scenario", "exec.map/exec.chunk/scenario"): n
+        for path, n in SUITE_SPANS.items()
+    },
 }
 
 STREAM_COUNTERS = {
@@ -108,6 +141,8 @@ STREAM_COUNTERS = {
     "exec.units": 40,
     "streaming.spills": 3,
 }
+
+STREAM_SPANS = {"session.campaign": 1, "session.campaign/exec.map": 1}
 
 STUDY_COUNTERS = {
     "cooling_stuxnet": {
@@ -134,6 +169,13 @@ STUDY_COUNTERS = {
     },
 }
 
+STUDY_SPANS = {
+    "session.full_study": 1,
+    "session.full_study/exec.map": 1,
+    "session.full_study/exec.map/measurement.run": 8,
+    "session.full_study/exec.map/measurement.run/campaign.replication": 80,
+}
+
 #: Two 1024-lane units; only the lane steps differ between the SANs.
 SAN_COUNTERS = {
     name: {
@@ -152,6 +194,8 @@ SAN_COUNTERS = {
     )
 }
 
+SAN_SPANS = {"exec.map": 1, "exec.map/san.simulate": 2}
+
 DEFAULT_CONFIG_COUNTERS = {
     "campaign.healthy_ticks_scanned": 64,
     "campaign.replications": 50,
@@ -164,11 +208,31 @@ DEFAULT_CONFIG_COUNTERS = {
     "exec.units": 50,
 }
 
+DEFAULT_CONFIG_SPANS = {"exec.map": 1, "exec.map/campaign.replication": 50}
+
 
 def test_suite12_counters_and_records():
     assert SCENARIOS.names() == list(SUITE)
     result = session(telemetry=True).run(list(SUITE), seed=SEED)
     assert counters(result.telemetry) == SUITE_COUNTERS
+    assert span_counts(result.telemetry) == SUITE_SPANS
+    assert records_digest(result) == SUITE_DIGEST
+
+
+@pytest.mark.parametrize(
+    "backend, spans",
+    [("serial", SUITE_SPANS), ("thread", THREAD_SUITE_SPANS)],
+    ids=["serial", "thread"],
+)
+def test_suite12_armed_retry_does_no_extra_work(backend, spans):
+    result = Session(
+        backend=backend,
+        n_workers=2,
+        telemetry=True,
+        retry=RetryPolicy(max_attempts=3, timeout_s=30.0),
+    ).run(list(SUITE), seed=SEED)
+    assert counters(result.telemetry) == SUITE_COUNTERS
+    assert span_counts(result.telemetry) == spans
     assert records_digest(result) == SUITE_DIGEST
 
 
@@ -191,12 +255,14 @@ def test_campaign_stream_counters():
     # NumPy's file format, so only its presence is pinned.
     assert counts.pop("streaming.bytes_spilled") > 0
     assert counts == STREAM_COUNTERS
+    assert span_counts(result.telemetry) == STREAM_SPANS
 
 
 @pytest.mark.parametrize("name", PAPER_CASES)
 def test_full_study_counters(name):
     result = session(telemetry=True).full_study(name, seed=SEED)
     assert counters(result.telemetry) == STUDY_COUNTERS[name]
+    assert span_counts(result.telemetry) == STUDY_SPANS
 
 
 @pytest.mark.parametrize("name", PAPER_CASES)
@@ -211,7 +277,9 @@ def test_san_batch_counters(name):
             rng=SEED,
             stop=lambda marking: marking["impaired"] > 0,
         )
-    assert counters(telemetry.snapshot()) == SAN_COUNTERS[name]
+    snapshot = telemetry.snapshot()
+    assert counters(snapshot) == SAN_COUNTERS[name]
+    assert span_counts(snapshot) == SAN_SPANS
 
 
 def test_default_config_campaign_counters():
@@ -228,4 +296,6 @@ def test_default_config_campaign_counters():
             rng=SEED,
             runner=ExperimentRunner(backend="serial", n_workers=2),
         )
-    assert counters(telemetry.snapshot()) == DEFAULT_CONFIG_COUNTERS
+    snapshot = telemetry.snapshot()
+    assert counters(snapshot) == DEFAULT_CONFIG_COUNTERS
+    assert span_counts(snapshot) == DEFAULT_CONFIG_SPANS
