@@ -8,6 +8,7 @@ from repro.attacks.profiles import stuxnet_like
 from repro.scada.components import ComponentKind, Host, HostRole
 from repro.scada.network import SCADANetwork, Zone
 from repro.scada.topologies import scope_cooling_topology
+from repro.scenarios import SCENARIOS
 
 K = ComponentKind
 
@@ -159,3 +160,27 @@ class TestCompiledTables:
         campaign.invalidate_tables()
         after = dict(campaign._compile_tables().entry)[entry_host]
         assert after == pytest.approx(before * 0.05)
+
+
+@pytest.mark.parametrize("name", SCENARIOS.names())
+def test_detection_noise_table_covers_every_attempt_target(name):
+    """Both engines index ``detection_noise`` directly, with no fallback:
+    every host a failed attempt can hit must have its entry."""
+    scenario = SCENARIOS.get(name)
+    campaign = AttackCampaign(
+        scenario.build_network(),
+        scenario.build_catalog(),
+        scenario.build_threat(),
+        scenario.build_campaign_config(),
+    )
+    tables = campaign._compile_tables()
+    noise = tables.detection_noise
+    assert list(noise) == list(campaign.network.host_names)
+    for host, p in noise.items():
+        assert p == campaign._detection_noise(host)
+        assert 0.0 <= p <= 1.0
+    targets = {host for host, _ in tables.entry}
+    targets.update(tables.escalation)
+    for plans in tables.propagation.values():
+        targets.update(target for _, target, _, _ in plans)
+    assert targets <= set(noise)

@@ -1,7 +1,11 @@
 """Tests for the simulation engine."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro.sim
 from repro.sim.engine import SimulationEngine
 
 
@@ -211,3 +215,21 @@ class TestRunEdgeCases:
         # The stale stop request must not abort the next run.
         assert engine.run().reason == "empty"
         assert engine.events_fired == 2
+
+
+def test_kernel_imports_no_random_source():
+    """The kernel draws no random numbers: callers schedule events at
+    times drawn from their own generator."""
+    for path in Path(repro.sim.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            for module in modules:
+                assert module.split(".")[0] not in ("random", "numpy"), (
+                    f"{path.name} imports {module}"
+                )
