@@ -4,9 +4,9 @@
 vectorized step instead of one: the per-host probability tables that
 :meth:`~repro.attacks.campaign.AttackCampaign._compile_tables` already
 precomputes are applied as array operations across the whole batch —
-entry/propagation/escalation become block-drawn exponential races over a
-``(B, n_nodes)`` compromise-time matrix, detection candidates reduce to
-one column-min, and the exfiltration accrual / predicted-crossing check
+entry/propagation/escalation become block-drawn exponential races over an
+``(n_nodes, B)`` compromise-time matrix, detection candidates reduce to
+one min per lane, and the exfiltration accrual / predicted-crossing check
 runs in closed form against the healthy tick trajectory that the
 scalar engine shares per process (``campaign._shared_trajectory``).
 
@@ -43,14 +43,20 @@ infinity by the horizon cut, exactly like the scalar path's "never
 scheduled" case.
 
 The relaxation (:func:`_relax_compromise`) runs Bellman–Ford sweeps over
-the whole batch.  The lowering sorts the edges by target once (a stable
-``argsort``), so each target's incoming edges form one contiguous
-segment; a sweep gathers every edge's candidate ``act[src] + delay``,
-takes one segmented min per target (``np.minimum.reduceat``) and keeps
-it where it beats the current compromise time.  Entry hosts are
-distinct, so entry times are a plain column assignment.  A min is
-exact and independent of the order it visits its operands, so the
-grouping changes no value: it only replaces a per-element scatter.
+the whole batch.  Every array is node-major — one row per node, edge or
+slot, the batch's lanes contiguous along it — so each operation runs
+over whole rows of ``B`` lanes.  The lowering lays the edges out once
+as a padded slot table (:func:`_pad_by_target`): every target with
+in-edges gets ``m`` slots, ``m`` the largest in-degree, holding its
+in-edges in edge order, and the padding slots hold ``inf`` delays.  A
+sweep gathers every slot's candidate ``act[src] + delay``, takes the
+min over each target's ``m`` slots (a reshape to ``(targets, m, B)``)
+and keeps it where it beats the current compromise time.  Entry hosts
+are distinct, so entry times are a plain row assignment.  A min is
+exact and independent of the order it visits its operands, and an
+``inf`` pad never wins it, so the layout changes no value.  The
+random draws keep the lane-major ``(B, k)`` block shape that fixes the
+stream; each block is transposed once when it is scaled.
 """
 
 from __future__ import annotations
@@ -60,7 +66,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.attacks.campaign import AttackCampaign, AttackOutcome
+from repro.attacks.campaign import AttackCampaign, AttackOutcome, _tick_times
 from repro.scada.components import HostRole
 from repro.sim.trace import TraceRecorder
 from repro.telemetry.core import current as _current_telemetry
@@ -89,11 +95,11 @@ class _CampaignArrays:
         "root_idx", "root_scale",
         "esc_noise_idx", "esc_noise_scale",
         "edge_src", "edge_tgt", "edge_scale",
-        "in_order", "in_src", "in_starts", "in_tgt",
+        "in_tgt", "slot_src", "slot_edge", "slot_valid",
         "edge_noise_src", "edge_noise_tgt", "edge_noise_scale",
         "c2_p", "c2_interval",
         "recon_k",
-        "eligible_idx", "exfil_cost",
+        "eligible_idx", "exfil_cost", "tick_times",
         "response_enabled", "response_delay_rate",
     )
 
@@ -165,12 +171,13 @@ def _lower_campaign(campaign: AttackCampaign) -> _CampaignArrays:
             entry_noise_scale.append(1.0 / noisy)
     arrays.entry_idx = np.asarray(entry_idx, dtype=np.intp)
     if np.unique(arrays.entry_idx).size != arrays.entry_idx.size:
-        # The relaxation assigns entry times by column, which needs
-        # one entry draw per host.
+        # The relaxation assigns entry times by row, which needs one
+        # entry draw per host.
         raise ValueError("duplicate entry hosts")
     arrays.entry_scale = np.asarray(entry_scale)
     arrays.entry_noise_scale = np.asarray(entry_noise_scale)
-    arrays.act_scale = 1.0 / threat.activation_delay_rate
+    # One activation-delay scale per node, like every other draw's.
+    arrays.act_scale = np.full(len(nodes), 1.0 / threat.activation_delay_rate)
 
     # Privilege escalation (root) and its noise, per node, from the
     # node's activation time.
@@ -218,8 +225,8 @@ def _lower_campaign(campaign: AttackCampaign) -> _CampaignArrays:
     arrays.edge_tgt = np.asarray(edge_tgt, dtype=np.intp)
     arrays.edge_scale = np.asarray(edge_scale)
     (
-        arrays.in_order, arrays.in_src, arrays.in_starts, arrays.in_tgt
-    ) = _group_by_target(arrays.edge_src, arrays.edge_tgt)
+        arrays.in_tgt, arrays.slot_src, arrays.slot_edge, arrays.slot_valid
+    ) = _pad_by_target(arrays.edge_src, arrays.edge_tgt)
     arrays.edge_noise_src = np.asarray(edge_noise_src, dtype=np.intp)
     arrays.edge_noise_tgt = np.asarray(edge_noise_tgt, dtype=np.intp)
     arrays.edge_noise_scale = np.asarray(edge_noise_scale)
@@ -238,6 +245,9 @@ def _lower_campaign(campaign: AttackCampaign) -> _CampaignArrays:
     arrays.recon_k = 0
     arrays.eligible_idx = np.asarray([], dtype=np.intp)
     arrays.exfil_cost = math.inf
+    arrays.tick_times = np.asarray(
+        _tick_times(campaign.config.tick_interval, campaign.config.horizon)
+    )
     if threat.goal == "recon":
         # Smallest compromise count satisfying the scalar check
         # ``len(compromised) >= recon_fraction * n_hosts`` (computed on
@@ -272,62 +282,98 @@ def _lower_campaign(campaign: AttackCampaign) -> _CampaignArrays:
     return arrays
 
 
-def _group_by_target(
+def _pad_by_target(
     edge_src: np.ndarray, edge_tgt: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Group the edges by target for :func:`_relax_compromise`.
+    """Lay the edges out as the padded slot table of
+    :func:`_relax_compromise`.
 
-    Returns ``(order, in_src, starts, in_tgt)``: the stable ``argsort``
-    of ``edge_tgt``, the sources in that order, the first sorted
-    position of each target's segment and the distinct targets
-    (ascending; nodes with in-degree 0 are absent).
+    Returns ``(in_tgt, slot_src, slot_edge, slot_valid)``: the distinct
+    targets (ascending; nodes with in-degree 0 are absent) and, per
+    target, ``m`` consecutive slots (``m`` the largest in-degree) that
+    hold its in-edges in edge order — each slot's source node, the edge
+    whose delay it takes, and whether it holds an edge at all.  Padding
+    slots fill the rest with source and edge 0.
     """
     order = np.argsort(edge_tgt, kind="stable")
-    tgt = edge_tgt[order]
-    starts = np.flatnonzero(np.diff(tgt, prepend=-1))
-    return order, edge_src[order], starts, tgt[starts]
+    in_tgt, degree = np.unique(edge_tgt, return_counts=True)
+    width = int(degree.max()) if degree.size else 0
+    # Slot of each edge in target order: its target's first slot plus
+    # its rank among that target's in-edges.
+    first_edge = np.cumsum(degree) - degree
+    rank = np.arange(order.size) - np.repeat(first_edge, degree)
+    slot = np.repeat(np.arange(in_tgt.size) * width, degree) + rank
+    slot_src = np.zeros(in_tgt.size * width, dtype=np.intp)
+    slot_edge = np.zeros_like(slot_src)
+    slot_valid = np.zeros(slot_src.size, dtype=bool)
+    slot_src[slot] = edge_src[order]
+    slot_edge[slot] = order
+    slot_valid[slot] = True
+    return in_tgt, slot_src, slot_edge, slot_valid
 
 
 def _relax_compromise(
     arrays: _CampaignArrays, entry: np.ndarray, act_delay: np.ndarray,
     edge_delay: np.ndarray, horizon: float,
 ) -> Tuple[np.ndarray, np.ndarray, int]:
-    """First-compromise and activation times of every lane and node.
+    """First-compromise and activation times of every node and lane.
 
     Solves ``comp[tgt] = min(entry[tgt], min over edges (act[src] +
     edge_delay))`` with ``act = comp + act_delay`` by Bellman–Ford
     sweeps over the batch; every time past ``horizon`` is ``inf``.
-    Each sweep takes the segmented min of the edge candidates grouped
-    by target (``arrays.in_*``, see :func:`_group_by_target`), so one
-    ``reduceat`` replaces a scatter-min over the edges.  ``edge_delay``
-    is in edge order (columns of ``arrays.edge_src``); entry hosts
+    All arrays are node-major (one row per entry host, node or edge,
+    one column per lane).  Each sweep takes the min over every target's
+    slots of the padded table (``arrays.in_tgt``/``slot_*``, see
+    :func:`_pad_by_target`), whose padding holds ``inf`` delays.
+    ``edge_delay`` rows follow ``arrays.edge_src``; entry hosts
     (``arrays.entry_idx``) are distinct.
 
     Returns:
-        ``(comp, act, sweeps)`` — the ``(size, n_nodes)`` matrices and
+        ``(comp, act, sweeps)`` — the ``(n_nodes, size)`` matrices and
         the number of relaxation sweeps run (at most ``n_nodes``).
     """
-    size, n = act_delay.shape
-    comp = np.full((size, n), np.inf)
-    comp[:, arrays.entry_idx] = np.where(entry <= horizon, entry, np.inf)
-    in_delay = edge_delay[:, arrays.in_order]
+    n, size = act_delay.shape
+    comp = np.full((n, size), np.inf)
+    comp[arrays.entry_idx] = np.where(entry <= horizon, entry, np.inf)
+    act = np.empty_like(comp)
+    targets = arrays.in_tgt
+    if targets.size:
+        # Sweep buffers, allocated once per batch.
+        in_delay = edge_delay[arrays.slot_edge]
+        in_delay[~arrays.slot_valid] = np.inf
+        cand = np.empty(in_delay.shape)
+        per_target = cand.reshape(targets.size, -1, size)
+        best = np.empty((targets.size, size))
+        current = np.empty_like(best)
+        improved = np.empty(best.shape, dtype=bool)
     sweeps = 0
     while True:
-        act = comp + act_delay
-        act[act > horizon] = np.inf
+        # Activations stay uncensored inside the loop: a candidate from
+        # one past the horizon is past it too, and the censored min
+        # below drops it, so only the returned ``act`` needs the cut.
+        np.add(comp, act_delay, out=act)
         # Each sweep extends the earliest attack chains by one edge, so
         # n_nodes sweeps reach the fixpoint (chains are simple paths).
-        if not arrays.in_src.size or sweeps == n:
-            return comp, act, sweeps
+        if not targets.size or sweeps == n:
+            break
         sweeps += 1
-        cand = act[:, arrays.in_src] + in_delay
-        cand[cand > horizon] = np.inf
-        best = np.minimum.reduceat(cand, arrays.in_starts, axis=1)
-        current = comp[:, arrays.in_tgt]
-        improved = best < current
+        # mode="clip" skips the buffered copy "raise" makes for ``out=``;
+        # the lowered indices are always in range.
+        np.take(act, arrays.slot_src, axis=0, out=cand, mode="clip")
+        cand += in_delay
+        per_target.min(axis=1, out=best)
+        # Censoring the min instead of every candidate keeps the same
+        # values: a target's min is past the horizon only when all of
+        # its candidates are.
+        best[best > horizon] = np.inf
+        np.take(comp, targets, axis=0, out=current, mode="clip")
+        np.less(best, current, out=improved)
         if not improved.any():
-            return comp, act, sweeps
-        comp[:, arrays.in_tgt] = np.where(improved, best, current)
+            break
+        np.minimum(best, current, out=best)
+        comp[targets] = best
+    act[act > horizon] = np.inf
+    return comp, act, sweeps
 
 
 class CampaignBatchEngine:
@@ -399,7 +445,7 @@ class CampaignBatchEngine:
         rows[:, 1] = np.where(success, goal_at, self.horizon)
         rows[:, 2] = np.where(detected, detection, self.horizon)
         rows[:, 3] = (
-            (comp <= done[:, None]).sum(axis=1) / self._arrays.n_hosts
+            (comp <= done).sum(axis=0) / self._arrays.n_hosts
             if self._arrays.n_hosts
             else 0.0
         )
@@ -436,8 +482,8 @@ class CampaignBatchEngine:
         # scalar boxing.
         lanes = zip(
             done.tolist(),
-            comp.tolist(),
-            root.tolist(),
+            comp.T.tolist(),
+            root.T.tolist(),
             success.tolist(),
             np.where(success, goal_at, np.nan).tolist(),
             np.where(detected, detection, np.nan).tolist(),
@@ -484,72 +530,64 @@ class CampaignBatchEngine:
         """Resolve ``size`` lanes in closed form.
 
         Returns ``(comp, root, detection, evict_at, goal_at, sweeps)``
-        — per-lane-per-node first-compromise / root matrices (``inf`` =
-        never before the horizon), per-lane first detection, eviction
-        and goal-achievement times, and the relaxation sweep count.
+        — node-major ``(n_nodes, size)`` first-compromise / root
+        matrices (``inf`` = never before the horizon), per-lane first
+        detection, eviction and goal-achievement times, and the
+        relaxation sweep count.
         """
         arrays = self._arrays
         horizon = self.horizon
         n = arrays.n_nodes
 
+        def draw(scale: np.ndarray) -> np.ndarray:
+            # A lane-major (size, k) block, the shape that fixes the
+            # stream, scaled per column into node-major (k, size) order.
+            block = rng.standard_exponential((size, scale.size))
+            out = np.empty((scale.size, size))
+            np.multiply(block.T, scale[:, None], out=out)
+            return out
+
         # Fixed block-draw order, so a unit's row stream is a pure
         # function of its spawned seed.
-        entry = rng.standard_exponential(
-            (size, arrays.entry_idx.size)
-        ) * arrays.entry_scale
-        entry_noise = rng.standard_exponential(
-            (size, arrays.entry_noise_scale.size)
-        ) * arrays.entry_noise_scale
-        act_delay = rng.standard_exponential((size, n)) * arrays.act_scale
-        root_delay = rng.standard_exponential(
-            (size, arrays.root_idx.size)
-        ) * arrays.root_scale
-        esc_noise = rng.standard_exponential(
-            (size, arrays.esc_noise_idx.size)
-        ) * arrays.esc_noise_scale
-        edge_delay = rng.standard_exponential(
-            (size, arrays.edge_src.size)
-        ) * arrays.edge_scale
-        edge_noise = rng.standard_exponential(
-            (size, arrays.edge_noise_src.size)
-        ) * arrays.edge_noise_scale
+        entry = draw(arrays.entry_scale)
+        entry_noise = draw(arrays.entry_noise_scale)
+        act_delay = draw(arrays.act_scale)
+        root_delay = draw(arrays.root_scale)
+        esc_noise = draw(arrays.esc_noise_scale)
+        edge_delay = draw(arrays.edge_scale)
+        edge_noise = draw(arrays.edge_noise_scale)
 
         comp, act, sweeps = _relax_compromise(
             arrays, entry, act_delay, edge_delay, horizon
         )
 
-        root = np.full((size, n), np.inf)
+        root = np.full((n, size), np.inf)
         if arrays.root_idx.size:
-            drawn = act[:, arrays.root_idx] + root_delay
-            root[:, arrays.root_idx] = np.where(
-                drawn <= horizon, drawn, np.inf
-            )
+            drawn = act[arrays.root_idx] + root_delay
+            root[arrays.root_idx] = np.where(drawn <= horizon, drawn, np.inf)
 
-        # First detection: the min over every noise/beacon candidate.
+        # First detection: the min over every noise/beacon candidate,
+        # censored once at the horizon (the min is past it only when
+        # every candidate is).
         detection = np.full(size, np.inf)
         if arrays.entry_noise_scale.size:
-            noise = np.where(entry_noise <= horizon, entry_noise, np.inf)
-            np.minimum(detection, noise.min(axis=1), out=detection)
+            np.minimum(detection, entry_noise.min(axis=0), out=detection)
         if arrays.esc_noise_idx.size:
-            cand = act[:, arrays.esc_noise_idx] + esc_noise
-            cand[cand > horizon] = np.inf
-            np.minimum(detection, cand.min(axis=1), out=detection)
+            cand = act[arrays.esc_noise_idx] + esc_noise
+            np.minimum(detection, cand.min(axis=0), out=detection)
         if arrays.edge_noise_src.size:
             # The scalar loop schedules an edge's noise only when the
             # target is still uncompromised at the source's activation.
-            src_act = act[:, arrays.edge_noise_src]
+            src_act = act[arrays.edge_noise_src]
             cand = src_act + edge_noise
-            cand[
-                (cand > horizon)
-                | (comp[:, arrays.edge_noise_tgt] <= src_act)
-            ] = np.inf
-            np.minimum(detection, cand.min(axis=1), out=detection)
+            cand[comp[arrays.edge_noise_tgt] <= src_act] = np.inf
+            np.minimum(detection, cand.min(axis=0), out=detection)
         if arrays.c2_p > 0.0:
-            first_act = act.min(axis=1)
+            first_act = act.min(axis=0)
             beacons = rng.geometric(arrays.c2_p, size)
             c2 = first_act + beacons * arrays.c2_interval
-            c2[c2 > horizon] = np.inf
             np.minimum(detection, c2, out=detection)
+        detection[detection > horizon] = np.inf
         finding_time = self._healthy_finding_time()
         if finding_time is not None:
             np.minimum(detection, finding_time, out=detection)
@@ -576,9 +614,9 @@ class CampaignBatchEngine:
     def _recon_time(self, comp: np.ndarray) -> np.ndarray:
         """Per-lane time of the K-th compromise (``inf`` = never)."""
         k = self._arrays.recon_k
-        if k > comp.shape[1]:
-            return np.full(comp.shape[0], np.inf)
-        return np.partition(comp, k - 1, axis=1)[:, k - 1]
+        if k > comp.shape[0]:
+            return np.full(comp.shape[1], np.inf)
+        return np.partition(comp, k - 1, axis=0)[k - 1]
 
     def _exfiltration_time(self, root: np.ndarray) -> np.ndarray:
         """Per-lane first tick crossing the exfiltration target.
@@ -592,32 +630,31 @@ class CampaignBatchEngine:
         inequality per segment.
         """
         arrays = self._arrays
-        size = root.shape[0]
+        size = root.shape[1]
         goal_at = np.full(size, np.inf)
         if not arrays.eligible_idx.size or not math.isfinite(
             arrays.exfil_cost
         ):
             return goal_at
-        traj = self.campaign._healthy_trajectory()
-        times = np.asarray(traj.times)
-        n_ticks = traj.n_ticks
+        times = arrays.tick_times
+        n_ticks = times.size - 1
         if n_ticks < 1:
             return goal_at
         sentinel = n_ticks + 1
-        rooted = root[:, arrays.eligible_idx]
         # First contributing tick per host: the first tick strictly
         # after the root time (the root tick itself still accrues with
-        # the pre-root count, as in ``_exfil_catch_up``).
-        q = np.searchsorted(times, rooted, side="right")
-        q = np.where(
-            np.isfinite(rooted) & (q <= n_ticks), q, sentinel
+        # the pre-root count, as in ``_exfil_catch_up``).  A host never
+        # rooted, or rooted at or after the last tick, gets the
+        # sentinel ``len(times)``.
+        q = np.searchsorted(
+            times, root[arrays.eligible_idx], side="right"
         ).astype(np.float64)
-        q.sort(axis=1)
-        prefix = np.cumsum(q, axis=1)
-        counts = np.arange(1, q.shape[1] + 1, dtype=np.float64)
+        q.sort(axis=0)
+        prefix = np.cumsum(q, axis=0)
+        counts = np.arange(1, q.shape[0] + 1, dtype=np.float64)[:, None]
         bound = np.empty_like(q)
-        bound[:, :-1] = q[:, 1:]
-        bound[:, -1] = sentinel
+        bound[:-1] = q[1:]
+        bound[-1] = sentinel
         np.minimum(bound, sentinel, out=bound)
         # Smallest j with counts·(j+1) − prefix ≥ cost inside each
         # segment [q_s, bound_s); +1 fixes float-boundary rounding.
@@ -626,7 +663,7 @@ class CampaignBatchEngine:
         j += counts * (j + 1.0) - prefix < arrays.exfil_cost
         valid = (q <= n_ticks) & (j < bound) & (j <= n_ticks)
         j[~valid] = sentinel
-        jstar = j.min(axis=1)
+        jstar = j.min(axis=0)
         crossing = jstar <= n_ticks
         goal_at[crossing] = times[jstar[crossing].astype(np.intp)]
         return goal_at

@@ -266,6 +266,22 @@ def _build_master(plant: PhysicalProcess) -> SCADAMaster:
 _MILESTONE_SCAN_CHUNK = 64
 
 
+def _tick_times(tick_interval: float, horizon: float) -> List[float]:
+    """Tick firing times ``[0.0, t_1, ..., t_n]`` up to ``horizon``.
+
+    ``times[k]`` is tick ``k``'s firing time, built by repeated addition
+    (``t += interval``) exactly like the legacy tick chain, so every
+    path that reads it reproduces the same float values.
+    """
+    times = [0.0]
+    while True:
+        nxt = times[-1] + tick_interval
+        if nxt > horizon:
+            break
+        times.append(nxt)
+    return times
+
+
 class _HealthyTickTrajectory:
     """The deterministic pre-sabotage tick trajectory of a plant.
 
@@ -312,17 +328,8 @@ class _HealthyTickTrajectory:
         self.damage = self.plant.make_damage_model()
         self.monitored = self.plant.monitored_register
         self.master = _build_master(self.plant)
-        # times[k] is tick k's firing time; built by repeated addition
-        # (t += interval) exactly like the legacy tick chain, so the
-        # elided path reproduces the same float values.
-        times = [0.0]
-        while True:
-            nxt = times[-1] + self.tick_interval
-            if nxt > self.horizon:
-                break
-            times.append(nxt)
-        self.times = times
-        self.n_ticks = len(times) - 1
+        self.times = _tick_times(config.tick_interval, config.horizon)
+        self.n_ticks = len(self.times) - 1
         self.scanned = 0
         # Index k holds post-tick-k state; index 0 is the initial state.
         self.snapshots: List[Tuple[PhysicalProcess, Dict[int, int], float]] = [

@@ -318,6 +318,7 @@ class SerialBackend(ExecutionBackend):
                     retries += 1
                     attempt += 1
                     metric_inc("retry.attempts")
+                    metric_inc("retry.discarded_units")
                     metric_observe("retry.backoff_ms", delay * 1000.0)
                     _LOG.warning(
                         "transient failure in unit %d (%s); retrying "

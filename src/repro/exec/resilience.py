@@ -382,6 +382,7 @@ class ChunkDispatcher:
                     policy.is_transient(exc)
                     and self._attempts[index] + 1 < policy.max_attempts
                 ):
+                    self._discard(index)
                     self._backoff(index, exc)
                     self._attempts[index] += 1
                     try:
@@ -406,9 +407,11 @@ class ChunkDispatcher:
                     )
                 self._attempts[index] += 1
                 self._metric("retry.attempts")
+                self._discard(index)
                 self._redispatch_after_timeout(index)
                 continue
             if status == "broken":
+                self._discard(index)
                 self._handle_pool_death(index, value)
                 continue
         if self._telemetry is not None:
@@ -466,6 +469,12 @@ class ChunkDispatcher:
                 return "error", exc
 
     # ---- retry plumbing ----------------------------------------------
+
+    def _discard(self, index: int) -> None:
+        """Count the units of chunk ``index``'s dropped attempt (a
+        retried error or corrupt payload, a watchdog timeout, a pool
+        death), so the work counters show what a faulty run re-did."""
+        self._metric("retry.discarded_units", len(self._chunks[index]))
 
     def _backoff(self, index: int, exc: BaseException) -> None:
         delay = self._policy.delay_s(self._retries[index], self._jitter_rng)
@@ -578,6 +587,7 @@ class ChunkDispatcher:
                     policy.is_transient(exc)
                     and self._attempts[index] + 1 < policy.max_attempts
                 ):
+                    self._discard(index)
                     self._backoff(index, exc)
                     self._attempts[index] += 1
                     continue

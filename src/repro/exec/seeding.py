@@ -77,8 +77,8 @@ _INIT_A = 0x43B0D7E5
 _MULT_A = 0x931E8875
 _INIT_B = 0x8B51F9DD
 _MULT_B = 0x58F38DED
-_MIX_MULT_L = np.uint32(0xCA01F9DD)
-_MIX_MULT_R = np.uint32(0x4973F715)
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
 _XSHIFT = 16
 _MASK32 = 0xFFFFFFFF
 #: ``PCG64`` seeds itself from ``generate_state(4, np.uint64)``.
@@ -104,16 +104,41 @@ def _uint32_words(value: Any) -> List[int]:
     return [word for item in value for word in _uint32_words(item)]
 
 
-def _hashmix(value: np.ndarray, hash_const: int) -> Tuple[np.ndarray, int]:
-    value = value ^ np.uint32(hash_const)
+def _hashmix(value: int, hash_const: int) -> Tuple[int, int]:
+    value ^= hash_const
     hash_const = (hash_const * _MULT_A) & _MASK32
-    value = value * np.uint32(hash_const)
+    value = (value * hash_const) & _MASK32
     return value ^ (value >> _XSHIFT), hash_const
 
 
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+def _mix(x: int, y: int) -> int:
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
     return result ^ (result >> _XSHIFT)
+
+
+def _hash_constants(
+    hash_const: int, mult: int, n: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The XOR and multiplier constants of ``n`` successive hash steps.
+
+    Step ``i`` XORs with the running constant, advances it by ``mult``
+    and multiplies by the advanced value; the constants depend on no
+    data, so ``n`` steps over ``n`` columns run as one array operation.
+    Returns the ``(xor, mult)`` constant arrays.
+    """
+    xors: List[int] = []
+    mults: List[int] = []
+    for _ in range(n):
+        xors.append(hash_const)
+        hash_const = (hash_const * mult) & _MASK32
+        mults.append(hash_const)
+    return np.array(xors, dtype=np.uint32), np.array(mults, dtype=np.uint32)
+
+
+#: ``generate_state`` cycles the pool into 8 ``uint32`` output words
+#: (read back as 4 little-endian ``uint64``), each hashed with its own
+#: constants.
+_OUT_XOR, _OUT_MULT = _hash_constants(_INIT_B, _MULT_B, 2 * _PCG64_WORDS)
 
 
 def spawned_words(root: np.random.SeedSequence, count: int) -> np.ndarray:
@@ -123,9 +148,10 @@ def spawned_words(root: np.random.SeedSequence, count: int) -> np.ndarray:
     np.uint64)`` for a freshly built ``root``: this re-implements
     NumPy's SeedSequence entropy hash in ``uint32`` arithmetic.  The
     hash constants do not depend on the data, and children differ only
-    in their last spawn-key word, so the shared prefix is mixed once and
-    all children finish in lockstep.  ``root`` is only read — unlike
-    ``spawn``, repeated calls give the same children.
+    in their last spawn-key word, so the shared prefix is mixed once in
+    plain integer arithmetic and all children finish in lockstep, one
+    array column per pool or output word.  ``root`` is only read —
+    unlike ``spawn``, repeated calls give the same children.
 
     Raises:
         ValueError: If ``count < 1``, or a child index would not fit in
@@ -142,15 +168,12 @@ def spawned_words(root: np.random.SeedSequence, count: int) -> np.ndarray:
     # A spawned child always has a spawn key, so NumPy pads the run
     # entropy with zeros up to the pool size.
     run_entropy += [0] * (pool_size - len(run_entropy))
-    entropy = [
-        np.array([word], dtype=np.uint32)
-        for word in run_entropy + _uint32_words(root.spawn_key)
-    ]
-    entropy.append(np.arange(count, dtype=np.uint32))
-    # SeedSequence.mix_entropy; the pool is full before the child word.
+    prefix = run_entropy + _uint32_words(root.spawn_key)
+    # SeedSequence.mix_entropy up to the child word; the pool is full
+    # before it.
     hash_const = _INIT_A
     pool = []
-    for word in entropy[:pool_size]:
+    for word in prefix[:pool_size]:
         mixed, hash_const = _hashmix(word, hash_const)
         pool.append(mixed)
     for src in range(pool_size):
@@ -158,20 +181,29 @@ def spawned_words(root: np.random.SeedSequence, count: int) -> np.ndarray:
             if src != dst:
                 mixed, hash_const = _hashmix(pool[src], hash_const)
                 pool[dst] = _mix(pool[dst], mixed)
-    for word in entropy[pool_size:]:
+    for word in prefix[pool_size:]:
         for dst in range(pool_size):
             mixed, hash_const = _hashmix(word, hash_const)
             pool[dst] = _mix(pool[dst], mixed)
-    # SeedSequence.generate_state(4, np.uint64): 8 words cycled from the
-    # pool, read back as little-endian uint64 pairs.
-    hash_const = _INIT_B
-    state = np.empty((count, 2 * _PCG64_WORDS), dtype="<u4")
-    for column in range(2 * _PCG64_WORDS):
-        value = pool[column % pool_size] ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        value = value * np.uint32(hash_const)
-        state[:, column] = value ^ (value >> _XSHIFT)
-    return state.view("<u8").astype(np.uint64)
+    # The child word, hashed once per pool word and mixed into it: one
+    # row per pool word, one column per child.
+    xor, mult = _hash_constants(hash_const, _MULT_A, pool_size)
+    child = np.arange(count, dtype=np.uint32) ^ xor[:, None]
+    child *= mult[:, None]
+    child ^= child >> _XSHIFT
+    child *= np.uint32(_MIX_MULT_R)
+    words = np.uint32(_MIX_MULT_L) * np.array(pool, dtype=np.uint32)
+    words = words[:, None] - child
+    words ^= words >> _XSHIFT
+    # SeedSequence.generate_state(4, np.uint64), one row per output word.
+    state = words[np.arange(2 * _PCG64_WORDS) % pool_size] ^ _OUT_XOR[:, None]
+    state *= _OUT_MULT[:, None]
+    state ^= state >> _XSHIFT
+    return (
+        np.ascontiguousarray(state.T, dtype="<u4")
+        .view("<u8")
+        .astype(np.uint64)
+    )
 
 
 class SpawnedSeedSequence(ISpawnableSeedSequence):

@@ -19,7 +19,7 @@ import pytest
 from repro.api import Session
 from repro.attacks.batched import (
     CampaignBatchEngine,
-    _group_by_target,
+    _pad_by_target,
     _relax_compromise,
 )
 from repro.attacks.campaign import AttackCampaign
@@ -110,17 +110,21 @@ def reference_relax(entry_idx, entry, act_delay, src, tgt, delay, horizon):
 
 
 def grouped(entry_idx, src, tgt):
-    order, in_src, in_starts, in_tgt = _group_by_target(src, tgt)
+    in_tgt, slot_src, slot_edge, slot_valid = _pad_by_target(src, tgt)
     return SimpleNamespace(
-        entry_idx=entry_idx, in_order=order, in_src=in_src,
-        in_starts=in_starts, in_tgt=in_tgt,
+        entry_idx=entry_idx, in_tgt=in_tgt, slot_src=slot_src,
+        slot_edge=slot_edge, slot_valid=slot_valid,
     )
 
 
 def relax(entry_idx, entry, act_delay, src, tgt, delay, horizon):
-    return _relax_compromise(
-        grouped(entry_idx, src, tgt), entry, act_delay, delay, horizon
+    """The engine's node-major relaxation on lane-major inputs and
+    outputs (one row per lane), like the reference's."""
+    comp, act, sweeps = _relax_compromise(
+        grouped(entry_idx, src, tgt), entry.T, act_delay.T, delay.T,
+        horizon,
     )
+    return comp.T, act.T, sweeps
 
 
 def random_graph(rng, n, n_edges):
@@ -135,8 +139,7 @@ def random_graph(rng, n, n_edges):
 
 
 class TestRelaxation:
-    """The target-grouped segmented min against a scatter-min
-    reference."""
+    """The padded per-target min against a scatter-min reference."""
 
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_scatter_reference_on_random_graphs(self, seed):
@@ -221,22 +224,65 @@ class TestRelaxation:
         np.testing.assert_array_equal(comp[0], np.arange(n) * 0.5)
         assert sweeps == n
 
-    def test_grouping_by_target(self):
-        order, in_src, starts, in_tgt = _group_by_target(
-            np.array([5, 6, 7, 8], dtype=np.intp),
-            np.array([2, 0, 2, 0], dtype=np.intp),
-        )
-        np.testing.assert_array_equal(order, [1, 3, 0, 2])
-        np.testing.assert_array_equal(in_src, [6, 8, 5, 7])
-        np.testing.assert_array_equal(starts, [0, 2])
-        np.testing.assert_array_equal(in_tgt, [0, 2])
+    def test_padded_layout_keeps_edge_order_within_a_target(self):
+        rng = np.random.default_rng(0)
+        tgt = rng.integers(0, 5, 64).astype(np.intp)
+        src = rng.integers(0, 9, 64).astype(np.intp)
+        in_tgt, slot_src, slot_edge, slot_valid = _pad_by_target(src, tgt)
+        width = slot_src.size // in_tgt.size
+        for row, target in enumerate(in_tgt):
+            slots = slice(row * width, (row + 1) * width)
+            edges = slot_edge[slots][slot_valid[slots]]
+            np.testing.assert_array_equal(edges, np.flatnonzero(tgt == target))
+            np.testing.assert_array_equal(
+                slot_src[slots][slot_valid[slots]], src[edges]
+            )
 
-    def test_grouping_keeps_edge_order_within_a_target(self):
-        tgt = np.random.default_rng(0).integers(0, 5, 64).astype(np.intp)
-        order, _, _, _ = _group_by_target(np.arange(64, dtype=np.intp), tgt)
-        for target in range(5):
-            within = order[tgt[order] == target]
-            np.testing.assert_array_equal(within, np.sort(within))
+    def test_padded_layout_by_target(self):
+        in_tgt, slot_src, slot_edge, slot_valid = _pad_by_target(
+            np.array([5, 6, 7, 8, 9], dtype=np.intp),
+            np.array([2, 0, 2, 0, 2], dtype=np.intp),
+        )
+        np.testing.assert_array_equal(in_tgt, [0, 2])
+        np.testing.assert_array_equal(slot_edge, [1, 3, 0, 0, 2, 4])
+        np.testing.assert_array_equal(slot_src, [6, 8, 0, 5, 7, 9])
+        np.testing.assert_array_equal(
+            slot_valid, [True, True, False, True, True, True]
+        )
+
+    def test_padded_layout_omits_untargeted_nodes(self):
+        src, tgt = random_graph(np.random.default_rng(3), 9, 20)
+        in_tgt, _, _, _ = _pad_by_target(src, tgt)
+        np.testing.assert_array_equal(in_tgt, np.unique(tgt))
+        untargeted = set(range(9)) - set(tgt.tolist())
+        assert untargeted and not untargeted & set(in_tgt.tolist())
+        empty = np.array([], dtype=np.intp)
+        assert all(a.size == 0 for a in _pad_by_target(empty, empty))
+
+    def test_target_at_the_maximum_in_degree_has_no_padding(self):
+        tgt = np.array([4, 1, 4, 4, 1, 0], dtype=np.intp)
+        in_tgt, _, _, slot_valid = _pad_by_target(
+            np.arange(6, dtype=np.intp), tgt
+        )
+        per_target = slot_valid.reshape(in_tgt.size, -1)
+        assert per_target.shape == (3, 3)
+        np.testing.assert_array_equal(per_target.sum(axis=1), [1, 2, 3])
+        assert per_target[list(in_tgt).index(4)].all()
+
+    def test_padding_slots_are_masked_to_inf(self):
+        # Node 2 has one in-edge, so one padding slot, which points at
+        # edge 0 (0 -> 1, delay 0.1) from node 0; unmasked, it would
+        # compromise node 2 at 0.1 instead of 0.1 + 3.0 via node 1.
+        src = np.array([0, 0, 1], dtype=np.intp)
+        tgt = np.array([1, 1, 2], dtype=np.intp)
+        layout = grouped(np.array([0], dtype=np.intp), src, tgt)
+        assert layout.slot_src[-1] == 0 and layout.slot_edge[-1] == 0
+        assert not layout.slot_valid[-1]
+        comp, _, _ = relax(
+            layout.entry_idx, np.zeros((1, 1)), np.zeros((1, 3)), src,
+            tgt, np.array([[0.1, 0.2, 3.0]]), 10.0,
+        )
+        np.testing.assert_array_equal(comp, [[0.0, 0.1, 0.1 + 3.0]])
 
     def test_stops_at_the_first_sweep_without_improvement(self):
         # A star 0 -> 1..5 settles in one sweep; the second confirms.

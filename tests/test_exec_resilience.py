@@ -247,9 +247,33 @@ class TestRetryExecution:
         runner = ExperimentRunner(
             "serial", retry=FAST_RETRY, fault_plan=plan
         )
-        assert runner.run_replications(_draw_digest, 12, seed=77) == (
-            reference
+        telemetry = Telemetry()
+        with telemetry.activate():
+            result = runner.run_replications(_draw_digest, 12, seed=77)
+        assert result == reference
+        # One crashed attempt of unit 0, two of unit 7.
+        assert telemetry.metrics.counter("retry.discarded_units") == 3
+
+    def test_discarded_attempt_units_are_counted(self):
+        reference = ExperimentRunner("serial").run_replications(
+            _draw_digest, 12, seed=77
         )
+
+        def run(plan):
+            runner = ExperimentRunner(
+                "thread", n_workers=2, chunk_size=3,
+                retry=FAST_RETRY, fault_plan=plan,
+            )
+            telemetry = Telemetry()
+            with telemetry.activate():
+                result = runner.run_replications(_draw_digest, 12, seed=77)
+            assert result == reference
+            return telemetry.snapshot().metrics["counters"]
+
+        # Chunk 0 (units 0-2) returns one corrupt payload, then re-runs.
+        counters = run(FaultPlan(corrupt_units={0: 1}))
+        assert counters["retry.discarded_units"] == 3
+        assert "retry.discarded_units" not in run(None)
 
 
 class TestSuiteFailureIsolation:
