@@ -7,10 +7,9 @@ generation and protocol codec throughput.  They guard against
 performance regressions that would make the Monte-Carlo studies
 impractical.
 
-The ``*_legacy`` / ``*_dense_expm`` variants time the retained reference
-implementations (interpreter without the compiled fast path, dense
-``scipy.linalg.expm`` transient solver) so every run measures the
-compiled-path speedups in place, for reading by hand.
+The ``*_dense_expm`` variant times the retained dense
+``scipy.linalg.expm`` transient solver beside uniformization, so every
+run measures that speedup in place, for reading by hand.
 """
 
 from __future__ import annotations
@@ -63,8 +62,8 @@ def _stage_chain_model():
     return builder.build()
 
 
-def _san_simulation_case(benchmark, compiled: bool):
-    sim = SANSimulator(_stage_chain_model(), compiled=compiled)
+def test_perf_san_simulation(benchmark):
+    sim = SANSimulator(_stage_chain_model())
     rng = np.random.default_rng(1)
 
     def run():
@@ -76,23 +75,13 @@ def _san_simulation_case(benchmark, compiled: bool):
     assert len(runs) == 50
 
 
-def test_perf_san_simulation(benchmark):
-    """Compiled fast path (the default interpreter)."""
-    _san_simulation_case(benchmark, compiled=True)
-
-
-def test_perf_san_simulation_legacy(benchmark):
-    """Legacy re-scanning interpreter — the pre-compilation baseline."""
-    _san_simulation_case(benchmark, compiled=False)
-
-
-def _gspn_case(benchmark, compiled: bool):
+def test_perf_gspn_simulation(benchmark):
     net = PetriNet()
     net.add_place("idle", 5)
     net.add_place("busy", 0)
     net.add_transition("arrive", {"idle": 1}, {"busy": 1})
     net.add_transition("finish", {"busy": 1}, {"idle": 1})
-    gspn = GSPN(net, compiled=compiled)
+    gspn = GSPN(net)
     gspn.add_timed("arrive", lambda m: 1.0 * max(m["idle"], 1))
     gspn.add_timed("finish", lambda m: 2.0 * max(m["busy"], 1))
     rng = np.random.default_rng(2)
@@ -102,16 +91,6 @@ def _gspn_case(benchmark, compiled: bool):
 
     result = benchmark(run)
     assert len(result.final_markings) == 20
-
-
-def test_perf_gspn_simulation(benchmark):
-    """Compiled fast path (the default interpreter)."""
-    _gspn_case(benchmark, compiled=True)
-
-
-def test_perf_gspn_simulation_legacy(benchmark):
-    """Legacy re-scanning interpreter — the pre-compilation baseline."""
-    _gspn_case(benchmark, compiled=False)
 
 
 def _ctmc_1k():

@@ -63,7 +63,7 @@ def main() -> None:
     )
     print(f"  P(impaired by t)  {curve}")
 
-    sim = SANSimulator(san)  # compiled fast path by default
+    sim = SANSimulator(san)  # batch() runs on the vectorized SoA engine
     runs = sim.batch(500.0, 2000, rng, stop=lambda m: m["impaired"] > 0)
     p_mc = sum(r.stopped for r in runs) / len(runs)
     print(f"SAN/Monte-Carlo (2000 replications):          = {p_mc:.3f}")

@@ -94,7 +94,7 @@ from repro.telemetry import (
     configure_logging,
 )
 
-__version__ = "2.7.1"
+__version__ = "2.8.0"
 
 __all__ = [
     "AttackCampaign",

@@ -754,10 +754,23 @@ class AttackCampaign:
         controller is reprogrammed.  Outcomes are identical to the
         legacy loop for the same generator state.
         """
+        # The per-campaign tables and trajectory (built by the first
+        # call, cached after) stay outside the per-replication span.
         tables = self._compile_tables()
+        traj = self._healthy_trajectory() if self.config.tick_elision else None
+        with _span("campaign.replication"):
+            return self._replicate(rng, tables, traj)
+
+    def _replicate(
+        self,
+        rng: np.random.Generator,
+        tables: _CampaignTables,
+        traj: Optional[_HealthyTickTrajectory],
+    ) -> AttackOutcome:
+        """The body of :meth:`run`, inside its ``campaign.replication``
+        span: per-replication set-up, event loop and outcome assembly."""
         cfg = self.config
         elide = cfg.tick_elision
-        traj = self._healthy_trajectory() if elide else None
         engine = SimulationEngine()
         trace = TraceRecorder()
         stages = StageTracker()
@@ -1225,8 +1238,7 @@ class AttackCampaign:
             _advance_milestones()
         else:
             engine.schedule(cfg.tick_interval, lambda ev: on_tick(ev.time))
-        with _span("campaign.replication"):
-            engine.run(horizon=cfg.horizon)
+        engine.run(horizon=cfg.horizon)
 
         # Telemetry accounting happens after the event loop has fully
         # settled and touches no RNG or simulation state, so enabling it

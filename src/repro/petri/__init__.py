@@ -8,13 +8,15 @@ The paper lists Petri nets among the candidate attack-modeling formalisms
 * :mod:`repro.petri.analysis` — reachability, boundedness, deadlock and
   invariant analysis.
 * :mod:`repro.petri.gspn` — generalized stochastic Petri nets (timed
-  exponential + immediate transitions) simulated on the
-  :mod:`repro.sim` kernel.
+  exponential + immediate transitions): one compiled interpreter for
+  single replications, and Monte-Carlo transient analysis over
+  independent replications (:meth:`GSPN.transient_analysis`).
 
 The richer stochastic-activity-network formalism used for the paper's
 SCoPE case study lives in :mod:`repro.san`; GSPNs serve as a simpler,
 well-understood substrate and as a cross-validation target for the SAN
-engine.
+engine.  Only SANs have a vectorized many-replications engine
+(:class:`repro.san.SANBatchEngine`).
 """
 
 from repro.petri.analysis import (
@@ -25,14 +27,11 @@ from repro.petri.analysis import (
     reachability_graph,
     t_invariants,
 )
-from repro.petri.batched import GSPNBatchEngine, GSPNBatchRun, simulate_batch
 from repro.petri.gspn import GSPN, GSPNResult, ImmediateTransition, TimedTransition
 from repro.petri.net import Marking, PetriNet, Place, Transition
 
 __all__ = [
     "GSPN",
-    "GSPNBatchEngine",
-    "GSPNBatchRun",
     "GSPNResult",
     "ImmediateTransition",
     "Marking",
@@ -45,6 +44,5 @@ __all__ = [
     "is_bounded",
     "p_invariants",
     "reachability_graph",
-    "simulate_batch",
     "t_invariants",
 ]

@@ -11,15 +11,15 @@ Adds timing semantics to :class:`~repro.petri.net.PetriNet`:
 The simulator is a thin state machine over :class:`repro.sim.engine`
 semantics; transient measures are estimated via independent replications.
 
-Two interpreters implement the semantics: the **compiled fast path**
-(default) precomputes per-transition arc tuples, net token deltas and an
-enabling-dependency index (place → transitions reading it), then tracks
-the enabled sets incrementally and selects winners with cached
-single-uniform inverse-CDF draws; the **legacy interpreter**
-(``GSPN(net, compiled=False)``) re-scans every transition per firing and
-draws via ``rng.choice(p=...)``.  Both consume the random stream
-identically, so they produce bit-equal firing logs from the same seed
-(``tests/test_petri_gspn_compiled.py``).
+:meth:`GSPN.simulate` runs a compiled interpreter: it precomputes
+per-transition arc tuples, net token deltas and an enabling-dependency
+index (place → transitions reading it), then tracks the enabled sets
+incrementally and selects winners with cached single-uniform
+inverse-CDF draws.  A private reference interpreter
+(``GSPN._simulate_legacy``) re-scans every transition per firing and
+draws via ``rng.choice(p=...)``; it consumes the random stream
+identically, and ``tests/test_petri_gspn_compiled.py`` pins the two to
+bit-equal firing logs from the same seed.
 """
 
 from __future__ import annotations
@@ -235,14 +235,10 @@ class GSPN:
 
     Args:
         net: The structural net.
-        compiled: Use the compiled fast path (default).  ``False``
-            selects the legacy re-scanning interpreter; both produce
-            bit-identical runs from the same generator state.
     """
 
-    def __init__(self, net: PetriNet, compiled: bool = True) -> None:
+    def __init__(self, net: PetriNet) -> None:
         self.net = net
-        self.compiled = compiled
         self._timed: Dict[str, TimedTransition] = {}
         self._immediate: Dict[str, ImmediateTransition] = {}
         self._compiled: Optional[_CompiledGSPN] = None
@@ -325,24 +321,6 @@ class GSPN:
             raise ValueError(
                 f"transitions without timing declaration: {missing!r}"
             )
-        if self.compiled:
-            return self._simulate_compiled(
-                horizon, rng, stop, initial, max_firings
-            )
-        return self._simulate_legacy(horizon, rng, stop, initial, max_firings)
-
-    # ------------------------------------------------------------------
-    # compiled fast path
-    # ------------------------------------------------------------------
-
-    def _simulate_compiled(
-        self,
-        horizon: float,
-        rng: np.random.Generator,
-        stop: Optional[Callable[[Marking], bool]],
-        initial: Optional[Marking],
-        max_firings: int,
-    ) -> Tuple[Marking, float, List[Tuple[float, str, Marking]]]:
         compiled = self._compile()
         transitions = compiled.transitions
         readers = compiled.readers
@@ -442,17 +420,22 @@ class GSPN:
         return marking, stop_time, log
 
     # ------------------------------------------------------------------
-    # legacy interpreter
+    # reference interpreter
     # ------------------------------------------------------------------
 
     def _simulate_legacy(
         self,
         horizon: float,
         rng: np.random.Generator,
-        stop: Optional[Callable[[Marking], bool]],
-        initial: Optional[Marking],
-        max_firings: int,
+        stop: Optional[Callable[[Marking], bool]] = None,
+        initial: Optional[Marking] = None,
+        max_firings: int = 1_000_000,
     ) -> Tuple[Marking, float, List[Tuple[float, str, Marking]]]:
+        """:meth:`simulate` re-scanning every transition per firing.
+
+        Not used by the library: the equivalence suite runs it beside
+        :meth:`simulate` and requires bit-equal results.
+        """
         marking = initial if initial is not None else self.net.initial_marking()
         now = 0.0
         log: List[Tuple[float, str, Marking]] = []

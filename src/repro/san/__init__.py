@@ -14,8 +14,10 @@ formalism from scratch:
   (state-space exploration, transient solution, absorption analysis);
   used to validate the simulator.
 * :mod:`repro.san.builder` — a fluent builder for terse model definitions.
-* :mod:`repro.san.compiled` — the compiled fast-path lowering
-  (``SANModel.compile()``) the simulator executes by default.
+* :mod:`repro.san.compiled` — the compiled lowering
+  (``SANModel.compile()``) the simulator executes.
+* :mod:`repro.san.batched` — the vectorized engine
+  (:class:`SANBatchEngine`) that runs many replications per step.
 """
 
 from repro.san.batched import PlaceThreshold, SANBatchEngine

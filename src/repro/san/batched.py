@@ -41,7 +41,7 @@ from repro.san.simulator import SANSimulator, SimulationRun
 from repro.stats.choice import choice_batch
 from repro.telemetry.core import current as _current_telemetry
 
-__all__ = ["PlaceThreshold", "SANBatchEngine", "simulate_batch"]
+__all__ = ["PlaceThreshold", "SANBatchEngine"]
 
 
 class PlaceThreshold:
@@ -578,14 +578,3 @@ class SANBatchEngine:
         if steps:
             metrics.inc("batch.steps", steps)
             metrics.inc("batch.lane_steps", lane_steps)
-
-
-def simulate_batch(
-    model: SANModel,
-    horizon: float,
-    size: int,
-    rng: np.random.Generator,
-    stop: Optional[Callable[[SANMarking], bool]] = None,
-) -> List[SimulationRun]:
-    """One-shot convenience wrapper around :class:`SANBatchEngine`."""
-    return SANBatchEngine(model).run(horizon, size, rng, stop=stop)

@@ -16,18 +16,16 @@ Activities that remain enabled across a completion keep their sampled
 completion times (no resampling), matching the behaviour of mainstream SAN
 tools for non-memoryless distributions.
 
-Two interpreters implement these semantics:
-
-* the **compiled fast path** (default) runs the
-  :class:`~repro.san.compiled.CompiledSAN` lowering — incremental
-  enabling reconciliation over a dependency index, a pending-completion
-  heap, and precomputed single-uniform case selection;
-* the **legacy interpreter** (``SANSimulator(model, compiled=False)``)
-  re-scans every activity per completion and draws cases via
-  ``rng.choice(p=...)``.
-
-Both consume the random stream identically, so they produce bit-equal
-trajectories from the same seed (see ``tests/test_san_compiled.py``).
+:meth:`SANSimulator.simulate` runs the
+:class:`~repro.san.compiled.CompiledSAN` lowering: incremental enabling
+reconciliation over a dependency index, a pending-completion heap, and
+precomputed single-uniform case selection.  :meth:`SANSimulator.batch`
+runs many replications on the vectorized engine
+(:mod:`repro.san.batched`).  A private reference interpreter
+(``SANSimulator._simulate_legacy``) re-scans every activity per
+completion and draws cases via ``rng.choice(p=...)``; it consumes the
+random stream identically, and ``tests/test_san_compiled.py`` pins the
+two to bit-equal trajectories from the same seed.
 """
 
 from __future__ import annotations
@@ -195,14 +193,10 @@ class SANSimulator:
 
     Args:
         model: The model to execute.
-        compiled: Use the compiled fast path (default).  ``False``
-            selects the legacy re-scanning interpreter; both produce
-            bit-identical runs from the same generator state.
     """
 
-    def __init__(self, model: SANModel, compiled: bool = True) -> None:
+    def __init__(self, model: SANModel) -> None:
         self.model = model
-        self.compiled = compiled
 
     def simulate(
         self,
@@ -230,27 +224,6 @@ class SANSimulator:
         Raises:
             RuntimeError: If ``max_completions`` is exceeded.
         """
-        if self.compiled:
-            return self._simulate_compiled(
-                horizon, rng, stop, initial, on_completion, max_completions
-            )
-        return self._simulate_legacy(
-            horizon, rng, stop, initial, on_completion, max_completions
-        )
-
-    # ------------------------------------------------------------------
-    # compiled fast path
-    # ------------------------------------------------------------------
-
-    def _simulate_compiled(
-        self,
-        horizon: float,
-        rng: np.random.Generator,
-        stop: Optional[Callable[[SANMarking], bool]],
-        initial: Optional[SANMarking],
-        on_completion: Optional[CompletionHook],
-        max_completions: int,
-    ) -> SimulationRun:
         marking = (initial.copy() if initial is not None
                    else self.model.initial_marking())
         now = 0.0
@@ -421,18 +394,23 @@ class SANSimulator:
         return SimulationRun(marking, end_time, stop_time, completions)
 
     # ------------------------------------------------------------------
-    # legacy interpreter
+    # reference interpreter
     # ------------------------------------------------------------------
 
     def _simulate_legacy(
         self,
         horizon: float,
         rng: np.random.Generator,
-        stop: Optional[Callable[[SANMarking], bool]],
-        initial: Optional[SANMarking],
-        on_completion: Optional[CompletionHook],
-        max_completions: int,
+        stop: Optional[Callable[[SANMarking], bool]] = None,
+        initial: Optional[SANMarking] = None,
+        on_completion: Optional[CompletionHook] = None,
+        max_completions: int = 1_000_000,
     ) -> SimulationRun:
+        """:meth:`simulate` re-scanning every activity per completion.
+
+        Not used by the library: the equivalence suite runs it beside
+        :meth:`simulate` and requires bit-equal results.
+        """
         marking = (initial.copy() if initial is not None
                    else self.model.initial_marking())
         now = 0.0
@@ -532,14 +510,12 @@ class SANSimulator:
         vectorized engine calls it once per distinct marking, not once
         per lane.
 
-        A compiled simulator runs each unit on the structure-of-arrays
-        engine (:mod:`repro.san.batched`); models the SoA lowering
-        cannot express fall back lane-by-lane to :meth:`simulate` on the
-        unit's generator.  A ``compiled=False`` simulator always runs
-        its units lane-by-lane on its own interpreter.  Units wider than
-        one lane consume their draws in batched order, so runs are
-        distribution-identical to, not bit-equal with, the scalar
-        engine.
+        Each unit runs on the structure-of-arrays engine
+        (:mod:`repro.san.batched`); models the SoA lowering cannot
+        express fall back lane-by-lane to :meth:`simulate` on the
+        unit's generator.  Units wider than one lane consume their
+        draws in batched order, so runs are distribution-identical to,
+        not bit-equal with, the scalar engine.
 
         ``batch_size=1`` runs every unit through :meth:`simulate`:
         replication ``i`` draws from child ``i`` of the root seed
@@ -563,7 +539,7 @@ class SANSimulator:
         if batch_size is None:
             batch_size = DEFAULT_BATCH_SIZE
         engine = None
-        if self.compiled and min(batch_size, replications) > 1:
+        if min(batch_size, replications) > 1:
             from repro.san.batched import SANBatchEngine
 
             engine = SANBatchEngine(self.model)
@@ -586,11 +562,11 @@ class SANSimulator:
     ) -> List[SimulationRun]:
         """Runner work unit: ``size`` lanes on one generator.
 
-        ``engine`` is the call's shared SoA lowering (``None`` for the
-        legacy interpreter or ``batch_size=1``).  A single lane, or any
-        lane without an engine, runs on :meth:`simulate`; the engine's
-        single-lane runs are bit-identical to it, so routing a size-1
-        unit here changes no draw.
+        ``engine`` is the call's shared SoA lowering (``None`` when
+        every unit has one lane).  A single lane, or any lane without
+        an engine, runs on :meth:`simulate`; the engine's single-lane
+        runs are bit-identical to it, so routing a size-1 unit here
+        changes no draw.
         """
         with trace("san.simulate"):
             if size == 1 or engine is None:

@@ -16,20 +16,17 @@ predicate, and an immediate-priority split — over seeds 0-19, plus
 """
 
 import hashlib
-from functools import partial
 
 import numpy as np
 import pytest
 
-import tests.test_petri_gspn_compiled as compiled_oracle
+from tests.test_petri_gspn_compiled import (
+    birth_death,
+    mixed_net,
+    priority_split,
+)
 
 SEEDS = range(20)
-
-
-#: The oracle suite's builders, on the default (compiled) interpreter.
-birth_death = partial(compiled_oracle.birth_death, True)
-mixed_net = partial(compiled_oracle.mixed_net, True)
-priority_split = partial(compiled_oracle.priority_split, True)
 
 
 def _busy(marking) -> bool:

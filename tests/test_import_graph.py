@@ -10,6 +10,8 @@ interpreter so that a stray ``from scipy import stats``, an eager
 smoke-run path fails here instead of silently slowing every CLI run.
 One of them blocks ``import networkx`` outright, so the library is
 shown to work with networkx uninstalled, not only to load it late.
+Petri nets (``repro.petri``) are a modelling substrate no facade path
+uses, so they stay off the import and smoke-run path too.
 """
 
 import json
@@ -91,6 +93,11 @@ def test_fit_weibull_is_the_path_that_loads_scipy_optimize():
 def test_import_and_smoke_run_skip_networkx():
     modules = _modules_after(_SMOKE_RUN)
     assert [m for m in modules if m.split(".")[0] == "networkx"] == []
+
+
+def test_import_and_smoke_run_skip_petri():
+    modules = _modules_after(_SMOKE_RUN)
+    assert [m for m in modules if m.split(".")[:2] == ["repro", "petri"]] == []
 
 
 def test_library_works_with_networkx_blocked():
