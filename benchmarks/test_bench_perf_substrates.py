@@ -1,11 +1,12 @@
 """Performance benchmarks of the substrates.
 
 These are classic pytest-benchmark timings (multiple rounds) rather than
-experiment regenerations: DES event throughput, SAN simulation, GSPN
-simulation, CTMC transient analysis, variable-elimination inference, DoE
-generation and protocol codec throughput.  They guard against
-performance regressions that would make the Monte-Carlo studies
-impractical.
+experiment regenerations: DES event throughput, SAN simulation (the
+compiled interpreter), GSPN simulation (a re-scanning interpreter with
+no compiled fast path), CTMC transient analysis, variable-elimination
+inference, DoE generation and protocol codec throughput.  They guard
+against performance regressions that would make the Monte-Carlo
+studies impractical.
 
 The ``*_dense_expm`` variant times the retained dense
 ``scipy.linalg.expm`` transient solver beside uniformization, so every

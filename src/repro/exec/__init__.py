@@ -25,6 +25,7 @@ from repro.exec.backends import (
     ProcessBackend,
     SerialBackend,
     ThreadBackend,
+    UnpicklableWorkError,
     WorkUnit,
     available_backends,
     get_backend,
@@ -68,6 +69,7 @@ __all__ = [
     "SpawnedSeedSequence",
     "ThreadBackend",
     "TransientWorkerError",
+    "UnpicklableWorkError",
     "WorkUnit",
     "as_seed_sequence",
     "available_backends",

@@ -33,6 +33,7 @@ from concurrent.futures import (
 )
 from contextlib import nullcontext
 from dataclasses import dataclass
+from multiprocessing.reduction import ForkingPickler
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.exec.resilience import (
@@ -65,6 +66,25 @@ class ExecutionCancelled(RuntimeError):
     (chunks already running finish in the background but their results
     are discarded).
     """
+
+
+class UnpicklableWorkError(TypeError):
+    """A work unit cannot be pickled for a backend that ships it to
+    worker processes.
+
+    Raised before any worker pool exists, so a batch that could never
+    reach its workers leaves no pool or worker process behind.
+
+    Attributes:
+        unit_index: Index of the first unit that failed to pickle.
+    """
+
+    def __init__(self, unit_index: int, cause: BaseException) -> None:
+        super().__init__(
+            f"work unit {unit_index} cannot be pickled for a process "
+            f"pool: {type(cause).__name__}: {cause}"
+        )
+        self.unit_index = unit_index
 
 
 @dataclass(frozen=True)
@@ -166,6 +186,24 @@ def make_chunks(
         list(units[i : i + chunk_size])
         for i in range(0, len(units), chunk_size)
     ]
+
+
+def check_picklable(chunks: Sequence[Sequence[WorkUnit]]) -> None:
+    """Pickle every chunk the way a process pool would, up front.
+
+    Raises:
+        UnpicklableWorkError: Naming the first unit that fails.
+    """
+    for chunk in chunks:
+        try:
+            ForkingPickler.dumps(chunk)
+        except Exception:
+            for unit in chunk:
+                try:
+                    ForkingPickler.dumps(unit)
+                except Exception as exc:
+                    raise UnpicklableWorkError(unit.index, exc) from exc
+            raise
 
 
 def default_chunk_size(n_units: int, n_workers: int) -> int:
@@ -381,6 +419,8 @@ class _PoolBackend(ExecutionBackend):
             return []
         policy = retry if retry is not None else LEGACY_POLICY
         chunks = make_chunks(units, chunk_size)
+        if self.requires_pickling:
+            check_picklable(chunks)
         spec = telemetry.worker_spec() if telemetry is not None else None
         collected: Dict[int, Any] = {}
         done = [0]
@@ -461,7 +501,11 @@ class ThreadBackend(_PoolBackend):
 
 
 class ProcessBackend(_PoolBackend):
-    """``ProcessPoolExecutor`` fan-out (true CPU parallelism)."""
+    """``ProcessPoolExecutor`` fan-out (true CPU parallelism).
+
+    Every chunk is pickled before the pool starts; an unpicklable unit
+    raises :class:`UnpicklableWorkError` with no worker started.
+    """
 
     name = "process"
     requires_pickling = True

@@ -8,9 +8,10 @@ The paper lists Petri nets among the candidate attack-modeling formalisms
 * :mod:`repro.petri.analysis` — reachability, boundedness, deadlock and
   invariant analysis.
 * :mod:`repro.petri.gspn` — generalized stochastic Petri nets (timed
-  exponential + immediate transitions): one compiled interpreter for
-  single replications, and Monte-Carlo transient analysis over
-  independent replications (:meth:`GSPN.transient_analysis`).
+  exponential + immediate transitions): one interpreter that re-scans
+  the enabled transitions at every firing, and Monte-Carlo transient
+  analysis over independent replications
+  (:meth:`GSPN.transient_analysis`).
 
 The richer stochastic-activity-network formalism used for the paper's
 SCoPE case study lives in :mod:`repro.san`; GSPNs serve as a simpler,

@@ -8,31 +8,22 @@ Adds timing semantics to :class:`~repro.petri.net.PetriNet`:
   transitions the one with highest priority fires, ties broken by
   relative weight.
 
-The simulator is a thin state machine over :class:`repro.sim.engine`
-semantics; transient measures are estimated via independent replications.
-
-:meth:`GSPN.simulate` runs a compiled interpreter: it precomputes
-per-transition arc tuples, net token deltas and an enabling-dependency
-index (place → transitions reading it), then tracks the enabled sets
-incrementally and selects winners with cached single-uniform
-inverse-CDF draws.  A private reference interpreter
-(``GSPN._simulate_legacy``) re-scans every transition per firing and
-draws via ``rng.choice(p=...)``; it consumes the random stream
-identically, and ``tests/test_petri_gspn_compiled.py`` pins the two to
-bit-equal firing logs from the same seed.
+:meth:`GSPN.simulate` runs one replication in its own event loop: each
+step re-scans the enabled transitions, fires an immediate one if any is
+enabled, and otherwise draws the next timed firing from the current
+total rate.  Transient measures are estimated over independent
+replications (:meth:`GSPN.transient_analysis`).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.exec import SeedLike, replication_generators, validate_batch_args
-from repro.petri.net import Marking, PetriNet, Transition
-from repro.stats.choice import WeightCdfCache, choice_cdf
+from repro.petri.net import Marking, PetriNet
 from repro.stats.ci import ConfidenceInterval, mean_ci, proportion_ci
 
 RateFunction = Callable[[Marking], float]
@@ -108,128 +99,6 @@ class GSPNResult:
         return mean_ci(finished, level=level)
 
 
-class _CompiledTransition:
-    """Precomputed firing data for one declared transition."""
-
-    __slots__ = (
-        "name",
-        "index",
-        "inputs",
-        "inhibitors",
-        "delta",
-        "timed",
-        "stochastic",
-        "rate_static",
-        "weight",
-        "priority",
-    )
-
-    def __init__(
-        self,
-        index: int,
-        transition: Transition,
-        stochastic: "TimedTransition | ImmediateTransition",
-    ) -> None:
-        self.name = transition.name
-        self.index = index
-        self.inputs = tuple(transition.inputs.items())
-        self.inhibitors = tuple(transition.inhibitors.items())
-        net_delta: Dict[str, int] = {}
-        for place, weight in transition.inputs.items():
-            net_delta[place] = net_delta.get(place, 0) - weight
-        for place, weight in transition.outputs.items():
-            net_delta[place] = net_delta.get(place, 0) + weight
-        self.delta = tuple((p, d) for p, d in net_delta.items() if d != 0)
-        self.stochastic = stochastic
-        self.timed = isinstance(stochastic, TimedTransition)
-        if self.timed:
-            rate = stochastic.rate
-            # Cache only valid static rates; non-positive or callable
-            # rates go through rate_in at use time, raising exactly when
-            # (and only when) the legacy path would.
-            self.rate_static = (
-                float(rate)
-                if not callable(rate) and rate > 0
-                else None
-            )
-            self.weight = 0.0
-            self.priority = 0
-        else:
-            self.rate_static = None
-            self.weight = stochastic.weight
-            self.priority = stochastic.priority
-
-    def enabled(self, counts: Dict[str, int]) -> bool:
-        for place, weight in self.inputs:
-            if counts.get(place, 0) < weight:
-                return False
-        for place, threshold in self.inhibitors:
-            if counts.get(place, 0) >= threshold:
-                return False
-        return True
-
-
-class _CompiledGSPN:
-    """A GSPN lowered for the fast interpreter."""
-
-    __slots__ = ("transitions", "readers", "n_structural", "_weight_cdfs",
-                 "_rate_cdfs")
-
-    def __init__(self, gspn: "GSPN") -> None:
-        self.transitions: List[_CompiledTransition] = []
-        for index, transition in enumerate(gspn.net.transitions):
-            stochastic = gspn._timed.get(transition.name)
-            if stochastic is None:
-                stochastic = gspn._immediate[transition.name]
-            self.transitions.append(
-                _CompiledTransition(index, transition, stochastic)
-            )
-        readers: Dict[str, List[int]] = {}
-        for ct in self.transitions:
-            for place, _ in ct.inputs:
-                readers.setdefault(place, []).append(ct.index)
-            for place, _ in ct.inhibitors:
-                readers.setdefault(place, []).append(ct.index)
-        self.readers: Dict[str, Tuple[int, ...]] = {
-            place: tuple(sorted(set(idx))) for place, idx in readers.items()
-        }
-        self.n_structural = len(gspn.net.transitions)
-        self._weight_cdfs = WeightCdfCache(
-            [ct.weight for ct in self.transitions]
-        )
-        self._rate_cdfs: Dict[Tuple[int, ...], Tuple[float, List[float]]] = {}
-
-    def weight_cdf(self, candidates: Tuple[int, ...]) -> List[float]:
-        """Immediate weight-split CDF (cached per candidate set)."""
-        return self._weight_cdfs.cdf(candidates)
-
-    def rate_cdf(
-        self, candidates: Tuple[int, ...], rates: List[float]
-    ) -> Tuple[float, List[float]]:
-        """``(total, cdf)`` over ``rates`` (cached for static sets).
-
-        Below 8 candidates numpy's ``sum`` is a plain left-to-right
-        accumulation, so the pure-Python path below reproduces the
-        legacy ``rates.sum()`` / normalized-cumsum floats exactly
-        without array round-trips; larger sets use the numpy ops
-        verbatim (pairwise summation differs from sequential).
-        """
-        if len(rates) < 8:
-            total = 0.0
-            for rate in rates:
-                total += rate
-            cdf: List[float] = []
-            acc = 0.0
-            for rate in rates:
-                acc += rate / total
-                cdf.append(acc)
-            last = cdf[-1]
-            return total, [c / last for c in cdf]
-        arr = np.array(rates)
-        total = float(arr.sum())
-        return total, choice_cdf(arr / arr.sum())
-
-
 class GSPN:
     """A stochastic interpretation layered over a :class:`PetriNet`.
 
@@ -241,7 +110,6 @@ class GSPN:
         self.net = net
         self._timed: Dict[str, TimedTransition] = {}
         self._immediate: Dict[str, ImmediateTransition] = {}
-        self._compiled: Optional[_CompiledGSPN] = None
 
     def add_timed(self, name: str, rate: float | RateFunction) -> TimedTransition:
         """Declare structural transition ``name`` as exponentially timed.
@@ -252,7 +120,6 @@ class GSPN:
         self._check_declarable(name)
         timed = TimedTransition(name, rate)
         self._timed[name] = timed
-        self._compiled = None
         return timed
 
     def add_immediate(
@@ -266,7 +133,6 @@ class GSPN:
         self._check_declarable(name)
         imm = ImmediateTransition(name, weight, priority)
         self._immediate[name] = imm
-        self._compiled = None
         return imm
 
     def _check_declarable(self, name: str) -> None:
@@ -280,14 +146,6 @@ class GSPN:
             for t in self.net.transitions
             if t.name not in self._timed and t.name not in self._immediate
         ]
-
-    def _compile(self) -> _CompiledGSPN:
-        if (
-            self._compiled is None
-            or self._compiled.n_structural != len(self.net.transitions)
-        ):
-            self._compiled = _CompiledGSPN(self)
-        return self._compiled
 
     def simulate(
         self,
@@ -321,121 +179,6 @@ class GSPN:
             raise ValueError(
                 f"transitions without timing declaration: {missing!r}"
             )
-        compiled = self._compile()
-        transitions = compiled.transitions
-        readers = compiled.readers
-        marking = initial if initial is not None else self.net.initial_marking()
-        counts = marking.as_dict()
-        now = 0.0
-        log: List[Tuple[float, str, Marking]] = []
-        stop_time = float("nan")
-        if stop is not None and stop(marking):
-            return marking, 0.0, log
-
-        enabled_imm: set = set()
-        enabled_timed: set = set()
-        for ct in transitions:
-            if ct.enabled(counts):
-                (enabled_timed if ct.timed else enabled_imm).add(ct.index)
-
-        rng_random = rng.random
-        firings = 0
-        while now <= horizon:
-            if firings >= max_firings:
-                raise ValueError(
-                    f"exceeded {max_firings} firings; immediate loop likely"
-                )
-            if enabled_imm:
-                candidates = sorted(enabled_imm)
-                if len(candidates) > 1:
-                    top = max(transitions[i].priority for i in candidates)
-                    candidates = [
-                        i
-                        for i in candidates
-                        if transitions[i].priority == top
-                    ]
-                if len(candidates) == 1:
-                    rng_random()  # the legacy rng.choice(1, ...) draw
-                    chosen = transitions[candidates[0]]
-                else:
-                    cdf = compiled.weight_cdf(tuple(candidates))
-                    chosen = transitions[
-                        candidates[bisect_right(cdf, rng_random())]
-                    ]
-            elif enabled_timed:
-                candidates = sorted(enabled_timed)
-                key = tuple(candidates)
-                cached = compiled._rate_cdfs.get(key)
-                if cached is None:
-                    rates: List[float] = []
-                    all_static = True
-                    for i in candidates:
-                        ct = transitions[i]
-                        if ct.rate_static is not None:
-                            rates.append(ct.rate_static)
-                        else:
-                            all_static = False
-                            rates.append(ct.stochastic.rate_in(marking))
-                    cached = compiled.rate_cdf(key, rates)
-                    if all_static:
-                        compiled._rate_cdfs[key] = cached
-                total, cdf = cached
-                delay = float(rng.exponential(1.0 / total))
-                if now + delay > horizon:
-                    now = horizon
-                    break
-                now += delay
-                if len(candidates) == 1:
-                    rng_random()  # the legacy rng.choice(1, ...) draw
-                    chosen = transitions[candidates[0]]
-                else:
-                    chosen = transitions[
-                        candidates[bisect_right(cdf, rng_random())]
-                    ]
-            else:
-                break  # no enabled transition
-
-            for place, delta in chosen.delta:
-                value = counts.get(place, 0) + delta
-                if value:
-                    counts[place] = value
-                else:
-                    counts.pop(place, None)
-            marking = Marking._from_nonzero_sorted(
-                tuple(sorted(counts.items()))
-            )
-            for place, _ in chosen.delta:
-                for i in readers.get(place, ()):
-                    ct = transitions[i]
-                    target = enabled_timed if ct.timed else enabled_imm
-                    if ct.enabled(counts):
-                        target.add(i)
-                    else:
-                        target.discard(i)
-            log.append((now, chosen.name, marking))
-            firings += 1
-            if stop is not None and stop(marking):
-                stop_time = now
-                break
-        return marking, stop_time, log
-
-    # ------------------------------------------------------------------
-    # reference interpreter
-    # ------------------------------------------------------------------
-
-    def _simulate_legacy(
-        self,
-        horizon: float,
-        rng: np.random.Generator,
-        stop: Optional[Callable[[Marking], bool]] = None,
-        initial: Optional[Marking] = None,
-        max_firings: int = 1_000_000,
-    ) -> Tuple[Marking, float, List[Tuple[float, str, Marking]]]:
-        """:meth:`simulate` re-scanning every transition per firing.
-
-        Not used by the library: the equivalence suite runs it beside
-        :meth:`simulate` and requires bit-equal results.
-        """
         marking = initial if initial is not None else self.net.initial_marking()
         now = 0.0
         log: List[Tuple[float, str, Marking]] = []
@@ -460,9 +203,7 @@ class GSPN:
                 weights = np.array([c.weight for c in candidates])
                 chosen = candidates[
                     int(rng.choice(len(candidates), p=weights / weights.sum()))
-                ]
-                marking = self.net.fire(self.net.transition(chosen.name), marking)
-                log.append((now, chosen.name, marking))
+                ].name
             else:
                 timed = [self._timed[t.name] for t in enabled]
                 rates = np.array([t.rate_in(marking) for t in timed])
@@ -472,11 +213,11 @@ class GSPN:
                     now = horizon
                     break
                 now += delay
-                chosen_t = timed[
+                chosen = timed[
                     int(rng.choice(len(timed), p=rates / total))
-                ]
-                marking = self.net.fire(self.net.transition(chosen_t.name), marking)
-                log.append((now, chosen_t.name, marking))
+                ].name
+            marking = self.net.fire(self.net.transition(chosen), marking)
+            log.append((now, chosen, marking))
             firings += 1
             if stop is not None and stop(marking):
                 stop_time = now

@@ -67,20 +67,6 @@ class Marking:
             sorted((p, c) for p, c in counts.items() if c != 0)
         )
 
-    @classmethod
-    def _from_nonzero_sorted(
-        cls, counts: Tuple[Tuple[str, int], ...]
-    ) -> "Marking":
-        """Internal fast constructor for pre-validated count tuples.
-
-        ``counts`` must already be sorted by place with zero counts
-        dropped — the invariant :meth:`__init__` establishes.  Used by
-        the compiled GSPN loop, which maintains counts incrementally.
-        """
-        marking = object.__new__(cls)
-        marking._counts = counts
-        return marking
-
     def __getitem__(self, place: str) -> int:
         for p, c in self._counts:
             if p == place:

@@ -3,8 +3,8 @@
 This package is the event loop of the attack-campaign simulator
 (:mod:`repro.attacks.campaign`).  The stochastic-activity-network solver
 (:mod:`repro.san`) and the GSPN simulator (:mod:`repro.petri.gspn`) do
-not use it: each runs one compiled event loop of its own, and SANs also
-a vectorized batch engine (:mod:`repro.san.batched`).
+not use it: each runs one event loop of its own, and SANs also a
+vectorized batch engine (:mod:`repro.san.batched`).
 
 The kernel draws no random numbers itself: callers schedule events at
 times drawn from the generator they were given, so a run is

@@ -1,9 +1,10 @@
 """The discrete-event simulation engine.
 
 :class:`SimulationEngine` advances a simulation clock by firing events in
-``(time, priority, insertion)`` order.  Models (SAN, GSPN, attack campaigns)
-schedule events against the engine and inspect the clock through
-:attr:`SimulationEngine.now`.
+``(time, priority, insertion)`` order.  The attack-campaign simulator
+(:mod:`repro.attacks.campaign`) schedules events against the engine and
+inspects the clock through :attr:`SimulationEngine.now`; the SAN and
+GSPN simulators run event loops of their own.
 """
 
 from __future__ import annotations

@@ -2,13 +2,13 @@
 
 ``numpy.random.Generator.choice(n, p=probs)`` selects by building
 ``cdf = cumsum(p); cdf /= cdf[-1]`` and running a right-sided
-``searchsorted`` on one ``rng.random()`` double.  The compiled
-simulation fast paths (:mod:`repro.san.compiled`,
-:mod:`repro.petri.gspn`) precompute that table once and select with
-``bisect.bisect_right`` on one uniform — the same float64 operations on
-the same generator state, hence bit-identical selections.  This module
-is the single home of that construction so the parity rationale lives
-in one place.
+``searchsorted`` on one ``rng.random()`` double.  The compiled SAN
+interpreter (:mod:`repro.san.compiled`) precomputes that table once and
+selects with ``bisect.bisect_right`` on one uniform — the same float64
+operations on the same generator state, hence bit-identical selections
+— and the SAN batch engine (:mod:`repro.san.batched`) does the same
+over a block of uniforms.  This module is the single home of that
+construction so the parity rationale lives in one place.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ def weighted_choice_cdf(weights: Sequence[float]) -> List[float]:
 class WeightCdfCache:
     """Per-candidate-set cache of :func:`weighted_choice_cdf` tables.
 
-    Both compiled simulators select among the *enabled* subset of
+    The compiled SAN interpreter selects among the *enabled* subset of
     weighted elements, so the CDF depends on which indices are enabled;
     this memoizes one table per observed index tuple.  Holds only plain
     floats, so it pickles with its owner.

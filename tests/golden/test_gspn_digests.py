@@ -6,13 +6,12 @@ pinned.  Each digest hashes, replication by replication, the final
 marking, the stop time as ``float.hex`` and the firing log (time as
 ``float.hex``, transition, marking after).  Any change to the
 interpreter that moves one draw or one firing moves a digest; a pure
-speed change must leave all of them alone.
+speed or refactoring change must leave all of them alone.
 
-Cases: the nets the interpreter equivalence suite exercises — a static
-birth-death net, a mixed net (timed and immediate transitions,
-inhibitor arcs, marking-dependent rates) with and without a stop
-predicate, and an immediate-priority split — over seeds 0-19, plus
-``transient_analysis`` of the birth-death and mixed nets.
+Cases: a static birth-death net, a mixed net (timed and immediate
+transitions, inhibitor arcs, marking-dependent rates) with and without
+a stop predicate, and an immediate-priority split, over seeds 0-19,
+plus ``transient_analysis`` of the birth-death and mixed nets.
 """
 
 import hashlib
@@ -20,13 +19,63 @@ import hashlib
 import numpy as np
 import pytest
 
-from tests.test_petri_gspn_compiled import (
-    birth_death,
-    mixed_net,
-    priority_split,
-)
+from repro.petri.gspn import GSPN
+from repro.petri.net import PetriNet
 
 SEEDS = range(20)
+
+
+def birth_death():
+    net = PetriNet("bd")
+    net.add_place("idle", 1)
+    net.add_place("busy", 0)
+    net.add_transition("arrive", {"idle": 1}, {"busy": 1})
+    net.add_transition("finish", {"busy": 1}, {"idle": 1})
+    gspn = GSPN(net)
+    gspn.add_timed("arrive", 2.0)
+    gspn.add_timed("finish", 1.0)
+    return gspn
+
+
+def mixed_net():
+    """Timed + immediate + inhibitors + marking-dependent rates."""
+    net = PetriNet()
+    net.add_place("idle", 5)
+    net.add_place("busy", 0)
+    net.add_place("done", 0)
+    net.add_place("gatep", 1)
+    net.add_transition("arrive", {"idle": 1}, {"busy": 1})
+    net.add_transition("finish", {"busy": 1}, {"idle": 1})
+    net.add_transition(
+        "leak", {"busy": 2}, {"done": 1}, inhibitors={"gatep": 1}
+    )
+    net.add_transition("open", {"gatep": 1}, {})
+    net.add_transition("imm_a", {"done": 1}, {"idle": 1})
+    net.add_transition("imm_b", {"done": 1}, {"gatep": 1})
+    gspn = GSPN(net)
+    gspn.add_timed("arrive", lambda m: 1.0 * max(m["idle"], 1))
+    gspn.add_timed("finish", lambda m: 2.0 * max(m["busy"], 1))
+    gspn.add_timed("leak", 0.5)
+    gspn.add_timed("open", 0.2)
+    gspn.add_immediate("imm_a", weight=3.0, priority=2)
+    gspn.add_immediate("imm_b", weight=1.0, priority=2)
+    return gspn
+
+
+def priority_split():
+    net = PetriNet()
+    net.add_place("p", 3)
+    net.add_place("low", 0)
+    net.add_place("high", 0)
+    net.add_place("pump", 0)
+    net.add_transition("feed", {"pump": 1}, {"p": 1})
+    net.add_transition("to_low", {"p": 1}, {"low": 1})
+    net.add_transition("to_high", {"p": 1}, {"high": 1})
+    gspn = GSPN(net)
+    gspn.add_timed("feed", 1.0)
+    gspn.add_immediate("to_low", weight=1.0, priority=1)
+    gspn.add_immediate("to_high", weight=4.0, priority=1)
+    return gspn
 
 
 def _busy(marking) -> bool:

@@ -12,6 +12,10 @@ spawned seed material, so fault tolerance can never change results.
 
 import os
 import pickle
+import signal
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 
@@ -25,6 +29,7 @@ from repro.exec import (
     RemoteTracebackError,
     RetryPolicy,
     TransientWorkerError,
+    UnpicklableWorkError,
 )
 from repro.exec.backends import (
     ExecutionCancelled,
@@ -408,6 +413,89 @@ class TestRunJournal:
             reference.records_by_scenario()
         )
         assert json.loads(journal_path.read_text())["status"] == "done"
+
+
+class TestUnpicklableWork:
+    def test_rejected_before_any_pool_exists(self, monkeypatch):
+        def no_pool(self, n_workers):
+            raise AssertionError("a worker pool was created")
+
+        monkeypatch.setattr(ProcessBackend, "_make_executor", no_pool)
+        runner = ExperimentRunner("process", n_workers=2, chunk_size=2)
+        args = [(0,), (1,), (2,), (threading.Lock(),), (4,)]
+        with pytest.raises(UnpicklableWorkError, match="unit 3") as info:
+            runner.map(repr, args)
+        assert info.value.unit_index == 3
+        assert isinstance(info.value, TypeError)
+
+    def test_lambda_rejected_before_any_pool_exists(self, monkeypatch):
+        def no_pool(self, n_workers):
+            raise AssertionError("a worker pool was created")
+
+        monkeypatch.setattr(ProcessBackend, "_make_executor", no_pool)
+        runner = ExperimentRunner("process", n_workers=2)
+        with pytest.raises(UnpicklableWorkError, match="unit 0"):
+            runner.map(lambda x: x, [(1,), (2,)])
+
+    def test_rejected_under_telemetry_without_retries(self, monkeypatch):
+        def no_pool(self, n_workers):
+            raise AssertionError("a worker pool was created")
+
+        monkeypatch.setattr(ProcessBackend, "_make_executor", no_pool)
+        telemetry = Telemetry()
+        runner = ExperimentRunner("process", n_workers=2, chunk_size=1)
+        with telemetry.activate():
+            with pytest.raises(UnpicklableWorkError, match="unit 1"):
+                runner.map(repr, [(0,), (threading.Lock(),)])
+        assert telemetry.metrics.counter("exec.dispatches") == 1
+        assert telemetry.metrics.counter("retry.attempts") == 0
+
+    def test_thread_backend_needs_no_pickling(self):
+        lock = threading.Lock()
+        assert ExperimentRunner("thread", n_workers=2).map(
+            repr, [(lock,)]
+        ) == [repr(lock)]
+
+
+#: Runs an unpicklable unit on ``process[2]``; exits 3 on the typed
+#: error, so a clean exit proves the interpreter shut down.
+_UNPICKLABLE_SCRIPT = textwrap.dedent(
+    """
+    import sys, threading
+    from repro.exec import ExperimentRunner, UnpicklableWorkError
+    runner = ExperimentRunner("process", n_workers=2, chunk_size=1)
+    args = [(i,) for i in range(8)]
+    args[5] = (threading.Lock(),)
+    try:
+        runner.map(repr, args)
+    except UnpicklableWorkError as exc:
+        print(exc)
+        sys.exit(3)
+    """
+)
+
+
+@pytest.mark.chaos
+def test_unpicklable_unit_exits_promptly():
+    # Own process group, so a hang is killed with every worker it left.
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.abspath(src), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _UNPICKLABLE_SCRIPT],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        text=True, env=env, start_new_session=True,
+    )
+    try:
+        out, _ = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("interpreter hung after an unpicklable unit")
+    assert proc.returncode == 3, out
+    assert "work unit 5 cannot be pickled" in out
 
 
 @pytest.mark.chaos
