@@ -233,13 +233,10 @@ def _lower_campaign(campaign: AttackCampaign) -> _CampaignArrays:
 
     # C2 beaconing: per-beacon Bernoulli(p) from the first activation is
     # a geometric beacon count.
-    arrays.c2_p = 0.0
-    arrays.c2_interval = 0.0
-    if threat.c2 is not None:
-        arrays.c2_p = threat.c2.detection_probability(
-            network, campaign.catalog
-        )
-        arrays.c2_interval = threat.c2.beacon_interval
+    arrays.c2_p = tables.c2_p
+    arrays.c2_interval = (
+        0.0 if threat.c2 is None else threat.c2.beacon_interval
+    )
 
     # Goal thresholds.
     arrays.recon_k = 0

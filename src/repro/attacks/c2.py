@@ -74,6 +74,18 @@ class C2Channel:
             horizon.
         """
         p = self.detection_probability(network, catalog)
+        return self.sample_detection_time(start_time, horizon, p, rng)
+
+    def sample_detection_time(
+        self,
+        start_time: float,
+        horizon: float,
+        p: float,
+        rng: np.random.Generator,
+    ) -> Optional[float]:
+        """:meth:`first_detection_time` with the per-beacon detection
+        probability ``p`` already computed (a campaign computes it once,
+        not at every replication's first activation)."""
         if p <= 0.0:
             return None
         t = start_time

@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import pickle
 import time
 from concurrent.futures import (
     Executor,
@@ -188,15 +189,22 @@ def make_chunks(
     ]
 
 
-def check_picklable(chunks: Sequence[Sequence[WorkUnit]]) -> None:
+def pickle_chunks(chunks: Sequence[Sequence[WorkUnit]]) -> List[bytes]:
     """Pickle every chunk the way a process pool would, up front.
+
+    Returns:
+        Each chunk's pickle, in chunk order.  The process backend ships
+        these bytes as they are (see :func:`run_pickled_chunk`), so no
+        chunk is pickled twice, and a retried or re-dispatched chunk
+        resends the same bytes.
 
     Raises:
         UnpicklableWorkError: Naming the first unit that fails.
     """
+    pickled: List[bytes] = []
     for chunk in chunks:
         try:
-            ForkingPickler.dumps(chunk)
+            pickled.append(bytes(ForkingPickler.dumps(chunk)))
         except Exception:
             for unit in chunk:
                 try:
@@ -204,6 +212,21 @@ def check_picklable(chunks: Sequence[Sequence[WorkUnit]]) -> None:
                 except Exception as exc:
                     raise UnpicklableWorkError(unit.index, exc) from exc
             raise
+    return pickled
+
+
+def run_pickled_chunk(
+    worker: Callable[..., Any],
+    data: bytes,
+    fault_plan: Optional[Any],
+    attempt: int,
+) -> Any:
+    """Unpickle a chunk made by :func:`pickle_chunks` and run ``worker``
+    (:func:`run_chunk` or :func:`run_chunk_captured`) on it.
+
+    Worker-side; module-level so :class:`ProcessBackend` can pickle it.
+    """
+    return worker(pickle.loads(data), fault_plan, attempt)
 
 
 def default_chunk_size(n_units: int, n_workers: int) -> int:
@@ -419,8 +442,7 @@ class _PoolBackend(ExecutionBackend):
             return []
         policy = retry if retry is not None else LEGACY_POLICY
         chunks = make_chunks(units, chunk_size)
-        if self.requires_pickling:
-            check_picklable(chunks)
+        pickled = pickle_chunks(chunks) if self.requires_pickling else None
         spec = telemetry.worker_spec() if telemetry is not None else None
         collected: Dict[int, Any] = {}
         done = [0]
@@ -431,8 +453,12 @@ class _PoolBackend(ExecutionBackend):
             else functools.partial(run_chunk_captured, spec=spec)
         )
 
-        def submit_chunk(pool, chunk, attempt):
-            return pool.submit(worker, chunk, fault_plan, attempt)
+        def submit_chunk(pool, index, attempt):
+            if pickled is None:
+                return pool.submit(worker, chunks[index], fault_plan, attempt)
+            return pool.submit(
+                run_pickled_chunk, worker, pickled[index], fault_plan, attempt
+            )
 
         def run_inline(chunk, attempt):
             return worker(chunk, fault_plan, attempt)
@@ -504,7 +530,8 @@ class ProcessBackend(_PoolBackend):
     """``ProcessPoolExecutor`` fan-out (true CPU parallelism).
 
     Every chunk is pickled before the pool starts; an unpicklable unit
-    raises :class:`UnpicklableWorkError` with no worker started.
+    raises :class:`UnpicklableWorkError` with no worker started.  The
+    pool ships those bytes, so a chunk is pickled once.
     """
 
     name = "process"

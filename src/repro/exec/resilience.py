@@ -284,9 +284,10 @@ class ChunkDispatcher:
             re-dispatched chunk reuses these exact
             :class:`~repro.exec.backends.WorkUnit` objects and
             therefore their original seed material).
-        submit_chunk: ``(pool, chunk, attempt) -> Future`` — how one
-            chunk is put on a pool (the backend chooses the worker
-            entry point and threads the fault plan through).
+        submit_chunk: ``(pool, chunk index, attempt) -> Future`` — how
+            one chunk is put on a pool (the backend chooses the worker
+            entry point and what it ships, and threads the fault plan
+            through).
         run_inline: ``(chunk, attempt) -> payload`` — coordinator-side
             execution of one chunk, used by the degradation ladder.
         policy: The :class:`RetryPolicy` in force.
@@ -310,7 +311,7 @@ class ChunkDispatcher:
         self,
         make_executor: Callable[[], Any],
         chunks: Sequence[Sequence[Any]],
-        submit_chunk: Callable[[Any, Sequence[Any], int], Future],
+        submit_chunk: Callable[[Any, int, int], Future],
         run_inline: Callable[[Sequence[Any], int], Any],
         validate: Callable[[Any], List[Tuple[int, Any]]],
         policy: RetryPolicy,
@@ -350,7 +351,7 @@ class ChunkDispatcher:
 
     def _submit(self, index: int) -> None:
         self._futures[index] = self._submit_chunk(
-            self._pool, self._chunks[index], self._attempts[index]
+            self._pool, index, self._attempts[index]
         )
 
     # ---- public collection loop --------------------------------------

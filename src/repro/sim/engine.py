@@ -68,7 +68,12 @@ class SimulationEngine:
         return len(self._queue)
 
     def reset(self) -> None:
-        """Clear the clock and all pending events."""
+        """Clear the clock and drop all pending events.
+
+        Dropping the events also drops their actions, so a caller whose
+        actions close over the engine can call this to break that
+        reference cycle once the run is over.
+        """
         self._queue.clear()
         self._now = 0.0
         self._events_fired = 0

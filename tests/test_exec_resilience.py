@@ -74,6 +74,27 @@ def _raise_value_error(x):
     raise ValueError(f"fatal unit {x}")
 
 
+class _CountsPickles:
+    """A unit argument that counts how often this process pickles it."""
+
+    pickled = 0
+
+    def __init__(self, value):
+        self.value = value
+
+    def __reduce__(self):
+        type(self).pickled += 1
+        return (_CountsPickles, (self.value,))
+
+
+def _token_value(marker_dir, token):
+    return token.value
+
+
+def _flaky_value(marker_dir, token):
+    return _flaky_once(marker_dir, token.value)
+
+
 class TestRetryPolicy:
     def test_validation(self):
         with pytest.raises(ValueError, match="max_attempts"):
@@ -449,6 +470,26 @@ class TestUnpicklableWork:
                 runner.map(repr, [(0,), (threading.Lock(),)])
         assert telemetry.metrics.counter("exec.dispatches") == 1
         assert telemetry.metrics.counter("retry.attempts") == 0
+
+    @pytest.mark.parametrize("retry", [None, "flaky"])
+    def test_each_chunk_is_pickled_once(self, retry, monkeypatch, tmp_path):
+        # The pool ships the bytes the up-front check made; a retried
+        # chunk resends them instead of pickling its units again.
+        monkeypatch.setattr(_CountsPickles, "pickled", 0)
+        policy = (
+            None
+            if retry is None
+            else RetryPolicy(
+                max_attempts=3, base_delay_s=0.01, retry_on=(ValueError,)
+            )
+        )
+        runner = ExperimentRunner(
+            "process", n_workers=2, chunk_size=2, retry=policy
+        )
+        args = [(str(tmp_path), _CountsPickles(i)) for i in range(6)]
+        fn = _token_value if retry is None else _flaky_value
+        assert runner.map(fn, args) == list(range(6))
+        assert _CountsPickles.pickled == 6
 
     def test_thread_backend_needs_no_pickling(self):
         lock = threading.Lock()
