@@ -94,7 +94,7 @@ from repro.telemetry import (
     configure_logging,
 )
 
-__version__ = "2.8.2"
+__version__ = "2.8.3"
 
 __all__ = [
     "AttackCampaign",

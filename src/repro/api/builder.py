@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 from typing import TYPE_CHECKING, Dict, Optional
 
+from repro.exec.options import RunOptions
 from repro.exec.seeding import SeedLike
 from repro.scenarios.spec import Scenario
 
@@ -98,15 +99,12 @@ class StudyBuilder:
         vectorized batch lowering (``1`` = bit-identical to the scalar
         path; larger vectorized batches are distribution-identical).
         An explicit ``batch_size=`` on the session verb wins over the
-        pinned value.
+        pinned value; a suite (a list of targets) rejects a pin.
 
         Raises:
-            TypeError: If ``lanes`` is not an integer.
-            ValueError: If ``lanes < 1``.
+            TypeError / ValueError: Unless ``lanes`` is an integer >= 1.
         """
-        from repro.exec import validate_batch_args
-
-        validate_batch_args(1, lanes)
+        lanes = RunOptions(batch_size=lanes).batch_size
         return StudyBuilder(
             self._session, self._base, self._overrides, self._seed, lanes
         )

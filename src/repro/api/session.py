@@ -34,17 +34,18 @@ from repro.telemetry.profiling import PROFILE_MODES
 from repro.api.result import CampaignRunResult, RunResult
 from repro.attacks.campaign import AttackCampaign
 from repro.core.study import DiversityStudy, StudyResult
+from repro.exec.options import RunOptions
 from repro.exec.resilience import RetryPolicy
 from repro.exec.runner import ExperimentRunner
 from repro.exec.seeding import SeedLike, as_seed_sequence
 from repro.faults import FaultPlan, plan_from_env
 from repro.results import (
+    DEFAULT_MAX_RECORDS_IN_RAM,
     ResultCache,
     StreamingSummary,
     provenance_for,
     summarize_records,
 )
-from repro.results.provenance import execution_knobs
 from repro.scenarios.registry import SCENARIOS, ScenarioRegistry
 from repro.scenarios.spec import Scenario
 from repro.scenarios.suite import (
@@ -234,13 +235,16 @@ class Session:
             return [self._resolve_one(target)], False
         items = list(target)  # tolerate one-shot iterables
         for item in items:
-            if isinstance(item, StudyBuilder) and item._seed is not None:
-                raise ValueError(
-                    f"builder for {item._base.name!r} pins its own seed, "
-                    "which is ambiguous inside a suite (one root seed "
-                    "covers the whole run) — drop .seed(...) and pass "
-                    "seed= to run()/submit() instead"
-                )
+            if not isinstance(item, StudyBuilder):
+                continue
+            for knob in ("seed", "batch_size"):
+                if getattr(item, f"_{knob}") is not None:
+                    raise ValueError(
+                        f"builder for {item._base.name!r} pins its own "
+                        f"{knob}, which is ambiguous inside a suite (one "
+                        f"{knob} covers the whole run) — drop .{knob}(...) "
+                        f"and pass {knob}= to run()/submit() instead"
+                    )
         scenarios = [self._resolve_one(item) for item in items]
         if not scenarios:
             raise ValueError("a suite needs at least one scenario")
@@ -270,15 +274,21 @@ class Session:
         return self.default_seed
 
     @staticmethod
-    def _effective_batch_size(
-        batch_size: Optional[int], target: Optional[TargetLike] = None
-    ) -> Optional[int]:
-        """Explicit batch size > a single builder's pinned batch size."""
-        if batch_size is not None:
-            return batch_size
-        if isinstance(target, StudyBuilder):
-            return target._batch_size
-        return None
+    def _options(
+        target: TargetLike,
+        batch_size: Optional[int],
+        max_records_in_ram: Optional[int] = None,
+        stream: bool = False,
+        on_error: str = "raise",
+    ) -> RunOptions:
+        """The call's validated knobs: an explicit batch size wins over a
+        single builder's pin; ``stream=True`` alone streams at
+        :data:`~repro.results.DEFAULT_MAX_RECORDS_IN_RAM`."""
+        if batch_size is None and isinstance(target, StudyBuilder):
+            batch_size = target._batch_size
+        if stream and max_records_in_ram is None:
+            max_records_in_ram = DEFAULT_MAX_RECORDS_IN_RAM
+        return RunOptions(batch_size, max_records_in_ram, on_error)
 
     # ---- telemetry plumbing ---------------------------------------------
 
@@ -338,6 +348,7 @@ class Session:
         shared verbatim by the synchronous verb and the job.
         """
         self._ensure_open()
+        options = self._options(target, batch_size, on_error=on_error)
         scenarios, is_suite = self._resolve_targets(target)
         if shard is not None and not is_suite:
             raise ValueError(
@@ -346,7 +357,6 @@ class Session:
             )
         suite = self._suite(scenarios, shard=shard)
         run_seed = self._effective_seed(seed, target)
-        run_batch = self._effective_batch_size(batch_size, target)
 
         def body(
             telemetry: Optional[Telemetry],
@@ -356,12 +366,11 @@ class Session:
             result = self._traced(
                 telemetry,
                 "session.run",
-                lambda: suite.run(
-                    seed=run_seed,
+                lambda: suite._run(
+                    run_seed,
+                    options,
                     on_result=on_result,
                     cancel=cancel,
-                    batch_size=run_batch,
-                    on_error=on_error,
                     journal=journal,
                 ),
             )
@@ -418,6 +427,11 @@ class Session:
             target, a :class:`~repro.scenarios.SuiteResult` for a
             sequence — both satisfy
             :class:`~repro.api.result.RunResult` and carry provenance.
+
+        Raises:
+            TypeError / ValueError: On an invalid knob or a builder that
+                pins a seed or batch size inside a suite, before any
+                scenario runs or any journal file is written.
         """
         _, body = self._suite_body(
             target, seed, shard, batch_size, on_error, journal
@@ -456,7 +470,8 @@ class Session:
         wait in submission order.  ``on_error=`` / ``journal=`` behave
         exactly as on :meth:`run` — with a journal (plus the session
         cache), a cancelled or crashed job resubmitted with the same
-        arguments resumes from its last completed scenario.
+        arguments resumes from its last completed scenario.  Invalid
+        knobs raise here, as on :meth:`run`, before any job is queued.
         """
         scenarios, body = self._suite_body(
             target, seed, shard, batch_size, on_error, journal
@@ -511,11 +526,10 @@ class Session:
         ``(scenario, body)``; ``body(telemetry, on_result, cancel)`` is
         shared verbatim by the synchronous verb and the job."""
         self._ensure_open()
+        options = self._options(target, batch_size, max_records_in_ram, stream)
         scenario = self._resolve_one(target)
         root = as_seed_sequence(self._effective_seed(seed, target))
         campaign = self._campaign_for(scenario)
-        bound = self._effective_stream_bound(stream, max_records_in_ram)
-        lanes = self._effective_batch_size(batch_size, target)
 
         def body(
             telemetry: Optional[Telemetry],
@@ -523,16 +537,17 @@ class Session:
             cancel: Optional[Any],
         ) -> CampaignRunResult:
             def produce() -> CampaignRunResult:
-                aggregate = None if bound is None else StreamingSummary()
+                streaming = options.max_records_in_ram is not None
+                aggregate = StreamingSummary() if streaming else None
                 table = campaign.run_batch_table(
                     replications,
                     rng=root,
                     runner=self.runner,
                     on_result=on_result,
                     cancel=cancel,
-                    max_records_in_ram=bound,
+                    max_records_in_ram=options.max_records_in_ram,
                     aggregators=() if aggregate is None else (aggregate,),
-                    batch_size=lanes,
+                    batch_size=options.batch_size,
                 )
                 return self._campaign_result(
                     scenario,
@@ -540,7 +555,7 @@ class Session:
                     root,
                     table,
                     aggregate=aggregate,
-                    execution=execution_knobs(bound, lanes),
+                    execution=options.execution,
                 )
 
             return self._traced(telemetry, "session.campaign", produce)
@@ -589,6 +604,10 @@ class Session:
             response row per replication, bit-identical to
             ``AttackCampaign.run_batch_table`` on the same seed and
             runner.
+
+        Raises:
+            TypeError / ValueError: On an invalid ``batch_size`` or
+                ``max_records_in_ram``, before any replication runs.
         """
         _, body = self._campaign_body(
             target, replications, seed, stream, max_records_in_ram,
@@ -611,7 +630,8 @@ class Session:
         (one advance per mega-batch unit when ``batch_size`` is set).
 
         ``stream=`` / ``max_records_in_ram=`` / ``batch_size=`` behave
-        exactly as on the synchronous :meth:`campaign`.
+        exactly as on the synchronous :meth:`campaign`; invalid values
+        raise here, before any job is queued.
         """
         scenario, body = self._campaign_body(
             target, replications, seed, stream, max_records_in_ram,
@@ -624,20 +644,6 @@ class Session:
             self._as_job(body),
             telemetry=self._telemetry_for_run("session.submit_campaign"),
         )
-
-    @staticmethod
-    def _effective_stream_bound(
-        stream: bool, max_records_in_ram: Optional[int]
-    ) -> Optional[int]:
-        """Resolve the ``stream=`` / ``max_records_in_ram=`` pair to an
-        in-RAM row bound (``None`` = default in-RAM execution)."""
-        if max_records_in_ram is not None:
-            return max_records_in_ram
-        if stream:
-            from repro.results import DEFAULT_MAX_RECORDS_IN_RAM
-
-            return DEFAULT_MAX_RECORDS_IN_RAM
-        return None
 
     @staticmethod
     def _campaign_for(scenario: Scenario) -> AttackCampaign:

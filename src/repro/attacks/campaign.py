@@ -1459,22 +1459,24 @@ class AttackCampaign:
             ``ShardedRecordTable`` in streaming mode).
 
         Raises:
-            TypeError: If ``replications`` or ``batch_size`` is not an
-                integer.
-            ValueError: If either is ``< 1``.
+            TypeError: If ``replications``, ``batch_size`` or
+                ``max_records_in_ram`` is not an integer.
+            ValueError: If any of them is ``< 1``.
         """
-        from repro.exec import ExperimentRunner, validate_batch_args
+        from repro.exec import ExperimentRunner
+        from repro.exec.options import RunOptions, check_count
         from repro.results import RecordTable
 
-        validate_batch_args(replications, batch_size)
+        check_count("replications", replications)
+        options = RunOptions(batch_size, max_records_in_ram)
         builder = flush_at = None
-        if max_records_in_ram is not None:
+        if options.max_records_in_ram is not None:
             from repro.results.streaming import StreamingTableBuilder
 
             builder = StreamingTableBuilder(
-                max_records_in_ram=max_records_in_ram
+                max_records_in_ram=options.max_records_in_ram
             )
-            flush_at = min(max_records_in_ram, 4096)
+            flush_at = min(options.max_records_in_ram, 4096)
         blocks: List[np.ndarray] = []
         pending = 0
 
@@ -1508,7 +1510,7 @@ class AttackCampaign:
             take(index, np.asarray(row, dtype=np.float64).reshape(1, 4))
 
         active = runner or ExperimentRunner()
-        if batch_size is not None:
+        if options.batch_size is not None:
             from repro.attacks.batched import (
                 CampaignBatchEngine,
                 simulate_batch_rows,
@@ -1517,7 +1519,7 @@ class AttackCampaign:
             active.run_batched_replications(
                 simulate_batch_rows,
                 replications,
-                batch_size,
+                options.batch_size,
                 seed=rng,
                 common_args=(CampaignBatchEngine(self),),
                 on_result=take,

@@ -20,7 +20,8 @@ from repro.core.indicators import IndicatorSet, compute_indicators
 from repro.diversity.catalog import VariantCatalog
 from repro.diversity.config import configuration_from_run
 from repro.doe.design import Design, Run
-from repro.exec.runner import ExperimentRunner
+from repro.exec.options import RunOptions
+from repro.exec.runner import ExperimentRunner, validate_batch_args
 from repro.exec.seeding import (
     SeedLike,
     as_seed_sequence,
@@ -34,7 +35,6 @@ from repro.results import (
     provenance_for,
     summarize_records,
 )
-from repro.results.provenance import execution_knobs
 from repro.scada.network import SCADANetwork
 from repro.telemetry.core import trace
 
@@ -166,16 +166,14 @@ class MeasurementPlan:
         campaign_config: Optional[CampaignConfig] = None,
         batch_size: Optional[int] = None,
     ) -> None:
-        from repro.exec import validate_batch_args
-
-        validate_batch_args(replications, batch_size)
+        validate_batch_args(replications)
         self.network_factory = network_factory
         self.catalog = catalog
         self.threat = threat
         self.design = design
         self.replications = replications
         self.campaign_config = campaign_config or CampaignConfig()
-        self.batch_size = batch_size
+        self.batch_size = RunOptions(batch_size=batch_size).batch_size
 
     def campaign_for_run(self, run_index: int) -> AttackCampaign:
         """Build the configured campaign for one design run."""
@@ -312,16 +310,18 @@ class MeasurementPlan:
                 result's table is a lazy ``ShardedRecordTable`` holding
                 at most this many rows in RAM.  Records are identical to
                 the default in-RAM mode for the same seed; the bound is
-                recorded on ``provenance.execution``.
+                recorded on ``provenance.execution``.  A bound that is not
+                an integer ``>= 1`` raises before any design run.
         """
         from repro.exec.backends import ExecutionCancelled
 
+        options = RunOptions(self.batch_size, max_records_in_ram)
         builder = None
-        if max_records_in_ram is not None:
+        if options.max_records_in_ram is not None:
             from repro.results.streaming import StreamingTableBuilder
 
             builder = StreamingTableBuilder(
-                max_records_in_ram=max_records_in_ram
+                max_records_in_ram=options.max_records_in_ram
             )
         tables: List[RecordTable] = []
         run_indicators: List[IndicatorSet] = []
@@ -363,9 +363,7 @@ class MeasurementPlan:
                 root,
                 active,
                 source="measurement_plan",
-                execution=execution_knobs(
-                    max_records_in_ram, self.batch_size
-                ),
+                execution=options.execution,
             )
         return MeasurementResult(
             table=(

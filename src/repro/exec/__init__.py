@@ -1,6 +1,6 @@
 """repro.exec — deterministic parallel execution of experiment batches.
 
-The subsystem has three layers:
+The subsystem's modules:
 
 * :mod:`repro.exec.seeding` — central ``SeedSequence.spawn`` discipline
   that makes randomness a pure function of ``(root seed, unit index)``,
@@ -9,6 +9,7 @@ The subsystem has three layers:
   execution strategies with order-preserving result collection;
 * :mod:`repro.exec.runner` — :class:`ExperimentRunner`, the façade the
   measurement, campaign and SAN batch entry points build on;
+* :mod:`repro.exec.options` — :class:`RunOptions`, the run's knobs;
 * :mod:`repro.exec.resilience` — :class:`RetryPolicy`, the per-chunk
   watchdog and the pool-respawn/degradation ladder layered under the
   pool backends (retries re-use the originally spawned seeds, so fault
@@ -30,6 +31,7 @@ from repro.exec.backends import (
     available_backends,
     get_backend,
 )
+from repro.exec.options import RunOptions
 from repro.exec.resilience import (
     ChunkTimeoutError,
     CorruptChunkError,
@@ -64,6 +66,7 @@ __all__ = [
     "ProcessBackend",
     "RemoteTracebackError",
     "RetryPolicy",
+    "RunOptions",
     "SeedLike",
     "SerialBackend",
     "SpawnedSeedSequence",

@@ -23,6 +23,7 @@ from repro.exec.backends import (
     default_chunk_size,
     get_backend,
 )
+from repro.exec.options import check_count
 from repro.exec.resilience import RetryPolicy
 from repro.exec.seeding import (
     SeedLike,
@@ -80,22 +81,9 @@ def validate_batch_args(
             integer (bools are rejected too).
         ValueError: If ``replications < 1`` or ``batch_size < 1``.
     """
-    if isinstance(replications, bool) or not isinstance(
-        replications, (int, np.integer)
-    ):
-        raise TypeError(
-            f"replications must be an integer, got {replications!r}"
-        )
-    if replications < 1:
-        raise ValueError(f"replications must be >= 1, got {replications}")
-    if batch_size is None:
-        return
-    if isinstance(batch_size, bool) or not isinstance(
-        batch_size, (int, np.integer)
-    ):
-        raise TypeError(f"batch_size must be an integer, got {batch_size!r}")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    check_count("replications", replications)
+    if batch_size is not None:
+        check_count("batch_size", batch_size)
 
 
 def batch_unit_sizes(replications: int, batch_size: int) -> List[int]:

@@ -75,21 +75,6 @@ class Provenance:
         return {"entropy": self.entropy, "spawn_key": list(self.spawn_key)}
 
 
-def execution_knobs(
-    max_records_in_ram: Optional[int] = None,
-    batch_size: Optional[int] = None,
-) -> Optional[Dict[str, object]]:
-    """The streaming / mega-batch knobs of one run, as recorded on
-    :attr:`Provenance.execution` (``None`` when neither is set)."""
-    knobs: Dict[str, object] = {}
-    if max_records_in_ram is not None:
-        knobs["stream"] = True
-        knobs["max_records_in_ram"] = max_records_in_ram
-    if batch_size is not None:
-        knobs["batch_size"] = batch_size
-    return knobs or None
-
-
 def provenance_for(
     payload: Mapping[str, object],
     seq: np.random.SeedSequence,

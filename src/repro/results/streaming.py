@@ -54,6 +54,7 @@ from typing import (
 
 import numpy as np
 
+from repro.exec.options import check_count
 from repro.results.table import (
     RESPONSE_COLUMNS,
     RecordTable,
@@ -504,11 +505,8 @@ class StreamingTableBuilder:
         max_records_in_ram: Optional[int] = DEFAULT_MAX_RECORDS_IN_RAM,
         spill_dir: Optional[str] = None,
     ) -> None:
-        if max_records_in_ram is not None and max_records_in_ram < 1:
-            raise ValueError(
-                f"max_records_in_ram must be >= 1, got "
-                f"{max_records_in_ram}"
-            )
+        if max_records_in_ram is not None:
+            check_count("max_records_in_ram", max_records_in_ram)
         self.max_records_in_ram = max_records_in_ram
         self._spill_dir = spill_dir
         self._owns_spill = spill_dir is None

@@ -51,6 +51,7 @@ from repro.core.assessment import assess
 from repro.core.measurement import MeasurementPlan
 from repro.core.report import comparison_table
 from repro.core.study import DiversityStudy
+from repro.exec.options import RunOptions
 from repro.exec.runner import ExperimentRunner
 from repro.exec.seeding import SeedLike, as_seed_sequence, spawn_sequences
 from repro.results import (
@@ -65,7 +66,6 @@ from repro.results import (
     provenance_for,
     summarize_records,
 )
-from repro.results.provenance import execution_knobs
 from repro.results.streaming import LazyPart, ShardedRecordTable
 from repro.scenarios.journal import RunJournal
 from repro.scenarios.registry import SCENARIOS, ScenarioRegistry
@@ -127,55 +127,65 @@ class ScenarioRunResult(TableRecordsMixin):
 def _execute_scenario(
     spec: Dict[str, object],
     seq: np.random.SeedSequence,
-    max_records_in_ram: Optional[int] = None,
-    batch_size: Optional[int] = None,
-) -> ScenarioRunResult:
+    options: RunOptions,
+) -> "ScenarioRunResult | ScenarioFailure":
     """Suite work unit: rebuild the scenario, run its study, summarize.
 
-    Module-level so the ``process`` backend can pickle it.  The study
-    itself runs with spawn-per-replication seeding (serial within the
-    unit), so the result depends only on ``(spec, seq, batch_size)`` —
-    ``max_records_in_ram`` only decides whether the measurement's table
-    spills to shards, never what it contains.  ``batch_size`` selects
-    the mega-batch campaign lowering (``1`` is bit-identical to the
-    scalar path, larger vectorized batches are distribution-identical).
+    Module-level so the ``process`` backend can pickle it.  Seeding is
+    spawn-per-replication, so the result depends only on ``(spec, seq,
+    options.batch_size)``.  Under ``on_error="skip"`` a failing scenario
+    returns a :class:`ScenarioFailure` with its full traceback instead
+    of sinking its siblings; injected infrastructure faults fire in the
+    chunk gates *outside* this unit, so retry still sees them.
     """
-    scenario = Scenario.from_dict(spec)
-    study = DiversityStudy.from_scenario(scenario)
-    factors = study.build_factors()
-    design = study.build_design(factors)
-    plan = MeasurementPlan(
-        study.network_factory,
-        study.catalog,
-        study.threat,
-        design,
-        replications=study.replications,
-        campaign_config=study.campaign_config,
-        batch_size=batch_size,
-    )
-    with trace("scenario.execute"):
-        measurement = plan.execute(seq, max_records_in_ram=max_records_in_ram)
-    top_targets: Dict[str, str] = {}
     try:
-        assessment = assess(measurement)
-        for response in measurement.response_names():
-            targets = assessment.recommended_diversification(response)
-            top_targets[response] = targets[0] if targets else "--"
-    except Exception:
-        # Degenerate measurements (e.g. zero-variance smoke runs) must
-        # not sink the whole suite; the comparison shows "--" instead.
-        top_targets = {
-            response: "--" for response in measurement.response_names()
-        }
-    return ScenarioRunResult(
-        scenario=scenario,
-        table=measurement.table,
-        summary=summarize_records(measurement.table),
-        top_targets=top_targets,
-        design_name=design.name,
-        n_runs=design.n_runs,
-        replications=study.replications,
-    )
+        scenario = Scenario.from_dict(spec)
+        study = DiversityStudy.from_scenario(scenario)
+        factors = study.build_factors()
+        design = study.build_design(factors)
+        plan = MeasurementPlan(
+            study.network_factory,
+            study.catalog,
+            study.threat,
+            design,
+            replications=study.replications,
+            campaign_config=study.campaign_config,
+            batch_size=options.batch_size,
+        )
+        with trace("scenario.execute"):
+            measurement = plan.execute(
+                seq, max_records_in_ram=options.max_records_in_ram
+            )
+        top_targets: Dict[str, str] = {}
+        try:
+            assessment = assess(measurement)
+            for response in measurement.response_names():
+                targets = assessment.recommended_diversification(response)
+                top_targets[response] = targets[0] if targets else "--"
+        except Exception:
+            # Degenerate measurements (zero-variance smoke runs) must
+            # not sink the whole suite; the comparison shows "--".
+            top_targets = {
+                response: "--" for response in measurement.response_names()
+            }
+        return ScenarioRunResult(
+            scenario=scenario,
+            table=measurement.table,
+            summary=summarize_records(measurement.table),
+            top_targets=top_targets,
+            design_name=design.name,
+            n_runs=design.n_runs,
+            replications=study.replications,
+        )
+    except Exception as exc:
+        if options.on_error == "raise":
+            raise
+        return ScenarioFailure(
+            scenario=str(spec.get("name", "<unnamed>")),
+            error_type=type(exc).__name__,
+            message=str(exc),
+            traceback=_traceback.format_exc(),
+        )
 
 
 @dataclass
@@ -202,32 +212,6 @@ class ScenarioFailure:
         return (
             f"scenario {self.scenario!r} failed: "
             f"{self.error_type}: {self.message}"
-        )
-
-
-def _execute_scenario_guarded(
-    spec: Dict[str, object],
-    seq: np.random.SeedSequence,
-    max_records_in_ram: Optional[int] = None,
-    batch_size: Optional[int] = None,
-) -> "ScenarioRunResult | ScenarioFailure":
-    """Failure-isolating suite work unit (``on_error="skip"``).
-
-    A scenario whose execution raises returns a picklable
-    :class:`ScenarioFailure` carrying the full formatted traceback
-    instead of sinking its sibling scenarios.  Module-level so the
-    ``process`` backend can pickle it.  Injected infrastructure faults
-    fire in the chunk gates *outside* this guard, so fault-tolerant
-    retry still sees them.
-    """
-    try:
-        return _execute_scenario(spec, seq, max_records_in_ram, batch_size)
-    except Exception as exc:
-        return ScenarioFailure(
-            scenario=str(spec.get("name", "<unnamed>")),
-            error_type=type(exc).__name__,
-            message=str(exc),
-            traceback=_traceback.format_exc(),
         )
 
 
@@ -526,7 +510,7 @@ class ScenarioSuite:
     def _cache_key(
         spec: "Scenario | Dict[str, object]",
         seq: np.random.SeedSequence,
-        batch_size: Optional[int] = None,
+        options: RunOptions = RunOptions(),
     ) -> str:
         """Content address of one scenario execution.
 
@@ -537,11 +521,10 @@ class ScenarioSuite:
         path hands the pre-computed spec dict in; a bare
         :class:`Scenario` is accepted for convenience.
 
-        ``batch_size`` joins the key only when set: mega-batch records
-        are distribution-identical but not bit-identical to scalar
-        records, so the two must not share cache entries — while keys
-        for ordinary scalar runs stay byte-stable across library
-        versions that predate batching.
+        ``batch_size`` joins the key only when set
+        (:meth:`~repro.exec.RunOptions.record_identity`): mega-batch
+        records are distribution-identical but not bit-identical to
+        scalar records, so the two must not share cache entries.
         """
         import repro
 
@@ -555,8 +538,7 @@ class ScenarioSuite:
             "spawn_key": [int(k) for k in seq.spawn_key],
             "pool_size": int(seq.pool_size),
         }
-        if batch_size is not None:
-            payload["batch_size"] = int(batch_size)
+        payload.update(options.record_identity())
         return content_key(payload)
 
     @staticmethod
@@ -646,225 +628,195 @@ class ScenarioSuite:
                 crashed or cancelled run re-invoked with the same
                 journal (and a cache) resumes from where it died.
                 Advisory only — results never depend on it.
+
+        Raises:
+            TypeError / ValueError: On an invalid knob, naming it, before
+                any scenario runs or any journal file is written.
         """
-        from repro.exec import validate_batch_args
-
-        if batch_size is not None:
-            validate_batch_args(1, batch_size)
-        if on_error not in ("raise", "skip"):
-            raise ValueError(
-                f'on_error must be "raise" or "skip", got {on_error!r}'
-            )
-        with trace("suite.run"):
-            return self._run_impl(
-                seed,
-                on_result,
-                cancel,
-                aggregators,
-                max_records_in_ram,
-                batch_size,
-                on_error,
-                journal,
-            )
-
-    def _run_identity(
-        self,
-        spec_dicts: Sequence[Dict[str, object]],
-        root: np.random.SeedSequence,
-        batch_size: Optional[int],
-    ) -> str:
-        """Content identity of one suite run, for the run journal.
-
-        Everything that decides the records is covered — specs in
-        order, root seed material, shard selection, batch size — so a
-        journal can only ever be resumed by the run it belongs to.
-        """
-        return content_key(
-            {
-                "format": 1,
-                "scenarios": list(spec_dicts),
-                "entropy": str(root.entropy),
-                "spawn_key": [int(k) for k in root.spawn_key],
-                "shard": list(self.shard) if self.shard else None,
-                "batch_size": batch_size,
-            }
+        options = RunOptions(batch_size, max_records_in_ram, on_error)
+        return self._run(
+            seed, options, on_result, cancel, aggregators, journal
         )
 
-    def _run_impl(
+    def _run(
         self,
         seed: SeedLike,
-        on_result: Optional[Callable[[ScenarioRunResult], None]],
-        cancel: Optional[Any],
-        aggregators: Sequence[Callable[[ScenarioRunResult], None]],
-        max_records_in_ram: Optional[int],
-        batch_size: Optional[int] = None,
-        on_error: str = "raise",
+        options: RunOptions,
+        on_result: Optional[Callable[[ScenarioRunResult], None]] = None,
+        cancel: Optional[Any] = None,
+        aggregators: Sequence[Callable[[ScenarioRunResult], None]] = (),
         journal: Optional[Union[str, Path, RunJournal]] = None,
     ) -> SuiteResult:
-        root = as_seed_sequence(seed)
-        sequences = spawn_sequences(root, len(self.scenarios))
-        pairs = list(zip(self.scenarios, sequences))
-        if self.shard is not None:
-            index, count = self.shard
-            pairs = pairs[index::count]
-        # One spec dict per scenario, shared by the cache key, the
-        # worker dispatch and the provenance payloads (asdict() is the
-        # dominant cost of a fully warm cached run).
-        spec_dicts = [scenario.to_dict() for scenario, _ in pairs]
-        execution = execution_knobs(max_records_in_ram, batch_size)
+        """:meth:`run` on already validated options."""
+        with trace("suite.run"):
+            root = as_seed_sequence(seed)
+            sequences = spawn_sequences(root, len(self.scenarios))
+            pairs = list(zip(self.scenarios, sequences))
+            if self.shard is not None:
+                index, count = self.shard
+                pairs = pairs[index::count]
+            # One spec dict per scenario, shared by the cache key, the
+            # worker dispatch and the provenance payloads (asdict() is the
+            # dominant cost of a fully warm cached run).
+            spec_dicts = [scenario.to_dict() for scenario, _ in pairs]
+            execution = options.execution
 
-        if journal is not None and not isinstance(journal, RunJournal):
-            journal = RunJournal(journal)
-        if journal is not None:
-            resumable = journal.begin(
-                self._run_identity(spec_dicts, root, batch_size),
-                len(pairs),
-                meta={"scenarios": [s.name for s, _ in pairs]},
-            )
-            if resumable:
-                # The journal itself holds no results; the completed
-                # positions resume through their cache entries below
-                # (a missing entry simply re-executes, bit-identically).
-                metric_inc("journal.resumed_scenarios", len(resumable))
-                emit_event(
-                    "journal.resume",
-                    path=str(journal.path),
-                    completed=len(resumable),
-                    total=len(pairs),
-                )
-
-        results: List[Optional[ScenarioRunResult]] = [None] * len(pairs)
-        errors_by_position: Dict[int, ScenarioFailure] = {}
-
-        def deliver(
-            position: int,
-            outcome: "ScenarioRunResult | ScenarioFailure",
-            key: str,
-            executed: bool,
-        ) -> None:
-            """Stream one finished outcome: stamp its provenance (before
-            any hook sees it), slot it, checkpoint it (cache + journal),
-            feed every hook.  Failures are recorded and isolated
-            instead."""
-            if isinstance(outcome, ScenarioFailure):
-                outcome.position = position
-                errors_by_position[position] = outcome
-                metric_inc("suite.scenario_failures")
-                emit_event(
-                    "suite.scenario_failed",
-                    scenario=outcome.scenario,
-                    error=f"{outcome.error_type}: {outcome.message}",
-                )
-                _LOG.warning("%s (on_error=skip; continuing)", outcome)
-                return
-            outcome.provenance = provenance_for(
-                {"scenario": spec_dicts[position]},
-                pairs[position][1],
-                self.runner,
-                source="scenario_suite",
-                execution=execution,
-            )
-            results[position] = outcome
-            if executed and self.cache is not None:
-                self._store_in_cache(key, outcome)
+            if journal is not None and not isinstance(journal, RunJournal):
+                journal = RunJournal(journal)
             if journal is not None:
-                journal.mark(position, key)
-            for aggregator in aggregators:
-                aggregator(outcome)
-            if on_result is not None:
-                on_result(outcome)
-
-        pending: List[Tuple[int, np.random.SeedSequence, str]] = []
-        for position, (scenario, seq) in enumerate(pairs):
-            if cancel is not None and cancel.is_set():
-                # The cache loop must honor the cancel contract too —
-                # a fully warm suite otherwise completes uncancellably.
-                from repro.exec.backends import ExecutionCancelled
-
-                raise ExecutionCancelled(
-                    f"suite cancelled after {position} of "
-                    f"{len(pairs)} scenarios"
+                # The run's identity covers everything that decides the
+                # records, so a journal only resumes the run it is for
+                # (format 1 always has a batch_size entry, None if scalar).
+                identity = {
+                    "format": 1,
+                    "scenarios": spec_dicts,
+                    "entropy": str(root.entropy),
+                    "spawn_key": [int(k) for k in root.spawn_key],
+                    "shard": list(self.shard) if self.shard else None,
+                    "batch_size": None,
+                    **options.record_identity(),
+                }
+                resumable = journal.begin(
+                    content_key(identity),
+                    len(pairs),
+                    meta={"scenarios": [s.name for s, _ in pairs]},
                 )
-            key = ""
-            if self.cache is not None:
-                key = self._cache_key(
-                    spec_dicts[position], seq, batch_size
+                if resumable:
+                    # The journal itself holds no results; the completed
+                    # positions resume through their cache entries below
+                    # (a missing entry simply re-executes, bit-identically).
+                    metric_inc("journal.resumed_scenarios", len(resumable))
+                    emit_event(
+                        "journal.resume",
+                        path=str(journal.path),
+                        completed=len(resumable),
+                        total=len(pairs),
+                    )
+
+            results: List[Optional[ScenarioRunResult]] = [None] * len(pairs)
+            errors_by_position: Dict[int, ScenarioFailure] = {}
+
+            def deliver(
+                position: int,
+                outcome: "ScenarioRunResult | ScenarioFailure",
+                key: str,
+                executed: bool,
+            ) -> None:
+                """Stream one finished outcome: stamp its provenance (before
+                any hook sees it), slot it, checkpoint it (cache + journal),
+                feed every hook.  Failures are recorded and isolated
+                instead."""
+                if isinstance(outcome, ScenarioFailure):
+                    outcome.position = position
+                    errors_by_position[position] = outcome
+                    metric_inc("suite.scenario_failures")
+                    emit_event(
+                        "suite.scenario_failed",
+                        scenario=outcome.scenario,
+                        error=f"{outcome.error_type}: {outcome.message}",
+                    )
+                    _LOG.warning("%s (on_error=skip; continuing)", outcome)
+                    return
+                outcome.provenance = provenance_for(
+                    {"scenario": spec_dicts[position]},
+                    pairs[position][1],
+                    self.runner,
+                    source="scenario_suite",
+                    execution=execution,
                 )
-                hit = self.cache.load(key)
-                if hit is not None:
-                    metric_inc("cache.hit")
+                results[position] = outcome
+                if executed and self.cache is not None:
+                    self._store_in_cache(key, outcome)
+                if journal is not None:
+                    journal.mark(position, key)
+                for aggregator in aggregators:
+                    aggregator(outcome)
+                if on_result is not None:
+                    on_result(outcome)
+
+            pending: List[Tuple[int, np.random.SeedSequence, str]] = []
+            for position, (scenario, seq) in enumerate(pairs):
+                if cancel is not None and cancel.is_set():
+                    # The cache loop must honor the cancel contract too —
+                    # a fully warm suite otherwise completes uncancellably.
+                    from repro.exec.backends import ExecutionCancelled
+
+                    raise ExecutionCancelled(
+                        f"suite cancelled after {position} of "
+                        f"{len(pairs)} scenarios"
+                    )
+                key = ""
+                if self.cache is not None:
+                    key = self._cache_key(spec_dicts[position], seq, options)
+                    hit = self.cache.load(key)
+                    if hit is not None:
+                        metric_inc("cache.hit")
+                        _LOG.debug(
+                            "cache hit: scenario %s (key %.12s...)",
+                            scenario.name, key,
+                        )
+                        deliver(
+                            position,
+                            self._result_from_cache(*hit),
+                            key,
+                            executed=False,
+                        )
+                        continue
+                    metric_inc("cache.miss")
                     _LOG.debug(
-                        "cache hit: scenario %s (key %.12s...)",
+                        "cache miss: scenario %s (key %.12s...)",
                         scenario.name, key,
                     )
-                    deliver(
-                        position,
-                        self._result_from_cache(*hit),
-                        key,
-                        executed=False,
-                    )
-                    continue
-                metric_inc("cache.miss")
-                _LOG.debug(
-                    "cache miss: scenario %s (key %.12s...)",
-                    scenario.name, key,
+                pending.append((position, seq, key))
+            if pending:
+                # Delivering as units complete (not after the whole map)
+                # is what makes cache + journal real checkpoints: a crash
+                # mid-suite keeps everything already finished.
+                def unit_hook(
+                    index: int,
+                    outcome: "ScenarioRunResult | ScenarioFailure",
+                ) -> None:
+                    position, _, key = pending[index]
+                    deliver(position, outcome, key, executed=True)
+
+                self.runner.map(
+                    _execute_scenario,
+                    [
+                        (spec_dicts[position], seq, options)
+                        for position, seq, _ in pending
+                    ],
+                    # repro: allow[PICKLE001] on_result runs in the coordinator process and is never pickled to workers
+                    on_result=unit_hook,
+                    cancel=cancel,
+                    collect=False,
                 )
-            pending.append((position, seq, key))
-        if pending:
-            worker = (
-                _execute_scenario
-                if on_error == "raise"
-                else _execute_scenario_guarded
+            if journal is not None:
+                journal.finish()
+            suite_aggregate = next(
+                (
+                    a
+                    for a in aggregators
+                    if isinstance(a, SuiteStreamingAggregator)
+                ),
+                None,
             )
-
-            # Delivering as units complete (not after the whole map)
-            # is what makes cache + journal real checkpoints: a crash
-            # mid-suite keeps everything already finished.
-            def unit_hook(
-                index: int,
-                outcome: "ScenarioRunResult | ScenarioFailure",
-            ) -> None:
-                position, _, key = pending[index]
-                deliver(position, outcome, key, executed=True)
-
-            self.runner.map(
-                worker,
-                [
-                    (spec_dicts[position], seq, max_records_in_ram, batch_size)
-                    for position, seq, _ in pending
+            return SuiteResult(
+                results=[r for r in results if r is not None],
+                provenance=provenance_for(
+                    {
+                        "scenarios": spec_dicts,
+                        "shard": list(self.shard) if self.shard else None,
+                    },
+                    root,
+                    self.runner,
+                    source="scenario_suite",
+                    execution=execution,
+                ),
+                aggregate=suite_aggregate,
+                errors=[
+                    errors_by_position[p] for p in sorted(errors_by_position)
                 ],
-                # repro: allow[PICKLE001] on_result runs in the coordinator process and is never pickled to workers
-                on_result=unit_hook,
-                cancel=cancel,
-                collect=False,
             )
-        if journal is not None:
-            journal.finish()
-        suite_aggregate = next(
-            (
-                a
-                for a in aggregators
-                if isinstance(a, SuiteStreamingAggregator)
-            ),
-            None,
-        )
-        return SuiteResult(
-            results=[r for r in results if r is not None],
-            provenance=provenance_for(
-                {
-                    "scenarios": spec_dicts,
-                    "shard": list(self.shard) if self.shard else None,
-                },
-                root,
-                self.runner,
-                source="scenario_suite",
-                execution=execution,
-            ),
-            aggregate=suite_aggregate,
-            errors=[
-                errors_by_position[p] for p in sorted(errors_by_position)
-            ],
-        )
 
     def _store_in_cache(self, key: str, result: ScenarioRunResult) -> None:
         """Cache one executed result; never let caching sink the run.

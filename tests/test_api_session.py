@@ -140,6 +140,23 @@ class TestStudyBuilder:
         with pytest.raises(ValueError, match="pins its own seed"):
             session.run([pinned, "cooling_stuxnet"])
 
+    def test_pinned_batch_size_inside_suite_rejected(self, tmp_path):
+        # One batch_size= covers a suite run; a builder's pin used to be
+        # dropped silently, leaving scalar records and no execution.
+        session = Session()
+        pinned = session.study("smoke").batch_size(4)
+        advice = r"pins its own batch_size.*pass batch_size= to run\(\)"
+        journal = tmp_path / "run.journal"
+        with pytest.raises(ValueError, match=advice):
+            session.run([pinned, "cooling_stuxnet"], seed=3, journal=journal)
+        with pytest.raises(ValueError, match=advice):
+            session.submit([pinned], seed=3)
+        assert not journal.exists()
+        # Alone, the builder's pin still applies.
+        assert session.run(pinned, seed=3).provenance.execution == {
+            "batch_size": 4
+        }
+
 
 class TestRun:
     def test_single_target_returns_scenario_result(self):

@@ -10,6 +10,7 @@ suite, ``Session`` and ``StudyBuilder``, recorded on
 ``Provenance.execution`` outside the spec digest.
 """
 
+import json
 import math
 from types import SimpleNamespace
 
@@ -23,6 +24,10 @@ from repro.attacks.batched import (
     _relax_compromise,
 )
 from repro.attacks.campaign import AttackCampaign
+from repro.core.measurement import MeasurementPlan
+from repro.core.study import DiversityStudy
+from repro.exec.runner import ExperimentRunner
+from repro.results.streaming import StreamingTableBuilder
 from repro.scenarios.registry import SCENARIOS, get_scenario
 from repro.scenarios.suite import ScenarioSuite
 from repro.telemetry import Telemetry
@@ -391,6 +396,108 @@ class TestDistributionalIdentity:
             )
 
 
+def _plan(batch_size=None):
+    study = DiversityStudy.from_scenario(get_scenario("smoke"))
+    return MeasurementPlan(
+        study.network_factory,
+        study.catalog,
+        study.threat,
+        study.build_design(study.build_factors()),
+        replications=2,
+        campaign_config=study.campaign_config,
+        batch_size=batch_size,
+    )
+
+
+#: ``(knob, bad value, error type, message)`` — every case names its
+#: knob; ``max_records_in_ram=True`` / ``2.5`` once ran, ``"10"`` failed
+#: deep inside the work, ``0`` under ``on_error="skip"`` returned an
+#: empty suite.
+BAD_KNOBS = [
+    ("batch_size", 2.5, TypeError, r"batch_size must be an integer, got 2\.5"),
+    (
+        "batch_size",
+        True,
+        TypeError,
+        r"batch_size must be an integer, got True",
+    ),
+    ("batch_size", 0, ValueError, r"batch_size must be >= 1, got 0"),
+    (
+        "max_records_in_ram",
+        True,
+        TypeError,
+        r"max_records_in_ram must be an integer, got True",
+    ),
+    (
+        "max_records_in_ram",
+        2.5,
+        TypeError,
+        r"max_records_in_ram must be an integer, got 2\.5",
+    ),
+    (
+        "max_records_in_ram",
+        "10",
+        TypeError,
+        r"max_records_in_ram must be an integer, got '10'",
+    ),
+    (
+        "max_records_in_ram",
+        0,
+        ValueError,
+        r"max_records_in_ram must be >= 1, got 0",
+    ),
+    ("on_error", "ignore", ValueError, r'on_error must be "raise" or "skip"'),
+    ("on_error", None, ValueError, r"on_error must be .*, got None"),
+]
+
+#: The knobs each entry point takes.
+KNOB_ENTRIES = {
+    "Session.run": ("batch_size", "on_error"),
+    "Session.submit": ("batch_size", "on_error"),
+    "Session.campaign": ("batch_size", "max_records_in_ram"),
+    "Session.submit_campaign": ("batch_size", "max_records_in_ram"),
+    "ScenarioSuite.run": ("batch_size", "max_records_in_ram", "on_error"),
+    "StudyBuilder.batch_size": ("batch_size",),
+    "MeasurementPlan": ("batch_size",),
+    "MeasurementPlan.execute": ("max_records_in_ram",),
+    "StreamingTableBuilder": ("max_records_in_ram",),
+    "AttackCampaign.run_batch_table": ("batch_size", "max_records_in_ram"),
+}
+
+#: ``entry(journal path, **knobs)``; suite entries run under
+#: ``on_error="skip"`` unless the case sets ``on_error`` itself.
+ENTRY_CALLS = {
+    "Session.run": lambda journal, **knobs: Session().run(
+        ["smoke"], seed=1, journal=journal, **{"on_error": "skip", **knobs}
+    ),
+    "Session.submit": lambda journal, **knobs: Session().submit(
+        ["smoke"], seed=1, journal=journal, **{"on_error": "skip", **knobs}
+    ),
+    "Session.campaign": lambda journal, **knobs: Session().campaign(
+        "smoke", 5, seed=1, **knobs
+    ),
+    "Session.submit_campaign": lambda journal, **knobs: (
+        Session().submit_campaign("smoke", 5, seed=1, **knobs)
+    ),
+    "ScenarioSuite.run": lambda journal, **knobs: ScenarioSuite(
+        ["smoke"]
+    ).run(seed=1, journal=journal, **{"on_error": "skip", **knobs}),
+    "StudyBuilder.batch_size": lambda journal, batch_size: (
+        Session().study("smoke").batch_size(batch_size)
+    ),
+    "MeasurementPlan": lambda journal, **knobs: _plan(**knobs),
+    "MeasurementPlan.execute": lambda journal, **knobs: _plan().execute(
+        1, **knobs
+    ),
+    "StreamingTableBuilder": lambda journal, **knobs: (
+        StreamingTableBuilder(**knobs)
+    ),
+    "AttackCampaign.run_batch_table": lambda journal, **knobs: (
+        campaign_for("smoke").run_batch_table(5, rng=1, **knobs)
+    ),
+}
+
+
 class TestValidation:
     def test_error_messages_match_san_batch(self):
         campaign = campaign_for("smoke")
@@ -415,6 +522,35 @@ class TestValidation:
         ):
             campaign.run_batch_table(4, batch_size=2.5)
 
+    @pytest.mark.parametrize(
+        "entry, knob, value, error, message",
+        [
+            pytest.param(
+                entry, knob, value, error, message,
+                id=f"{entry}-{knob}={value!r}",
+            )
+            for knob, value, error, message in BAD_KNOBS
+            for entry, accepted in KNOB_ENTRIES.items()
+            if knob in accepted
+        ],
+    )
+    def test_bad_knob_raises_before_any_work(
+        self, tmp_path, monkeypatch, entry, knob, value, error, message
+    ):
+        """Every entry point rejects a bad knob with an error naming it,
+        before a work unit runs or a journal file is written — also
+        under ``on_error="skip"``, which isolates scenario failures,
+        not the caller's own."""
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a work unit ran before the knob check")
+
+        monkeypatch.setattr(ExperimentRunner, "map", no_work)
+        journal = tmp_path / "run.journal"
+        with pytest.raises(error, match=message):
+            ENTRY_CALLS[entry](journal, **{knob: value})
+        assert not journal.exists()
+
 
 class TestSuiteWiring:
     def test_suite_batch_size_one_bit_identical(self):
@@ -429,6 +565,24 @@ class TestSuiteWiring:
         )
         assert baseline.provenance.execution is None
         assert batched.provenance.execution == {"batch_size": 1}
+
+    def test_suite_numpy_batch_size_keys_like_int(self, tmp_path):
+        # A NumPy integer is normalised once, so it keys the cache and the
+        # journal exactly like the equal int (it used to fail to
+        # serialize into the journal identity).
+        runs = {}
+        for name, lanes in (("int", 2), ("numpy", np.int64(2))):
+            journal = tmp_path / f"{name}.journal"
+            result = ScenarioSuite(
+                ["smoke"], cache_dir=str(tmp_path / name)
+            ).run(seed=1, batch_size=lanes, journal=journal)
+            state = json.loads(journal.read_text())
+            runs[name] = (
+                state["identity"],
+                state["completed"],
+                result.provenance.execution,
+            )
+        assert runs["numpy"] == runs["int"]
 
     def test_suite_rejects_bad_batch_size(self):
         with pytest.raises(
